@@ -14,6 +14,8 @@ package bus
 
 import (
 	"fmt"
+	"slices"
+	"sync/atomic"
 
 	"tlrsim/internal/fault"
 	"tlrsim/internal/memsys"
@@ -33,6 +35,8 @@ const (
 	Upgrade
 	// WriteBack returns a dirty line to memory on eviction.
 	WriteBack
+
+	numKinds = iota
 )
 
 func (k Kind) String() string {
@@ -50,7 +54,9 @@ func (k Kind) String() string {
 	}
 }
 
-// MemID is the controller id of the memory/L2 controller on the bus.
+// MemID is the controller id of the memory/L2 controller on the bus. The
+// bus's per-controller tables are slices indexed by id+1, so memory is slot
+// 0 and CPU i is slot i+1.
 const MemID = -1
 
 // Txn is one address-network transaction. Requests generated from within a
@@ -96,6 +102,13 @@ type Txn struct {
 	SrcHolds bool
 
 	issued sim.Time
+
+	// refs counts the records that can still reach a pooled transaction
+	// (see NewTxn); pooled marks one NewTxn handed out, poisoned one that
+	// was released while poisoning is on.
+	refs     int32
+	pooled   bool
+	poisoned bool
 }
 
 func (t *Txn) String() string {
@@ -183,7 +196,7 @@ type Config struct {
 
 // Stats counts interconnect activity for the traffic results in §6.
 type Stats struct {
-	Txns      map[Kind]uint64
+	Txns      [numKinds]uint64 // issued transactions, indexed by Kind
 	DataMsgs  uint64
 	Markers   uint64
 	Probes    uint64
@@ -196,9 +209,17 @@ type Bus struct {
 	k   *sim.Kernel
 	cfg Config
 
-	snoopers map[int]Snooper
-	recvs    map[int]Receiver
-	order    []int // snoop dispatch order (sorted ids, memory last)
+	// Per-controller tables, indexed by id+1 (memory is slot 0; nil marks
+	// an unattached id).
+	snoopers []Snooper
+	recvs    []Receiver
+	sendFree []sim.Time // each endpoint's next free injection cycle
+
+	// order and orderIDs are the snoop dispatch order (ascending CPU ids,
+	// memory last) and the id of each entry, so resolveSnoop walks plain
+	// slices.
+	order    []Snooper
+	orderIDs []int
 
 	queue       []*Txn
 	nextGrant   sim.Time
@@ -206,14 +227,13 @@ type Bus struct {
 	granting    bool
 	nextID      uint64
 
-	sendFree map[int]sim.Time
-
 	// Free lists for recycled data-network messages: a message is reused the
 	// moment its delivery event has run, so steady-state traffic allocates
 	// nothing.
 	freeData    []*DataResp
 	freeMarkers []*Marker
 	freeProbes  []*Probe
+	freeTxns    []*Txn
 
 	// faults, when non-nil, perturbs grant timing and order, forces NACKs,
 	// and delays marker/probe delivery — all within what the architecture
@@ -235,14 +255,7 @@ func New(k *sim.Kernel, cfg Config) *Bus {
 	if cfg.ArbCycles == 0 {
 		cfg.ArbCycles = 1
 	}
-	return &Bus{
-		k:        k,
-		cfg:      cfg,
-		snoopers: make(map[int]Snooper),
-		recvs:    make(map[int]Receiver),
-		sendFree: make(map[int]sim.Time),
-		stats:    Stats{Txns: make(map[Kind]uint64)},
-	}
+	return &Bus{k: k, cfg: cfg}
 }
 
 // Attach registers a controller under id for both snooping and data
@@ -252,23 +265,37 @@ func New(k *sim.Kernel, cfg Config) *Bus {
 // made machine construction quadratic in noise for the many-tiny-machine
 // sweeps (litmus enumeration runs tens of thousands of 2-CPU machines).
 func (b *Bus) Attach(id int, s Snooper, r Receiver) {
-	if _, dup := b.snoopers[id]; dup {
+	if id < MemID {
+		panic(fmt.Sprintf("bus: invalid controller id %d", id))
+	}
+	slot := id + 1
+	if slot < len(b.snoopers) && b.snoopers[slot] != nil {
 		panic(fmt.Sprintf("bus: duplicate controller id %d", id))
 	}
-	b.snoopers[id] = s
-	b.recvs[id] = r
-	pos := len(b.order)
+	for len(b.snoopers) <= slot {
+		b.snoopers = append(b.snoopers, nil)
+		b.recvs = append(b.recvs, nil)
+		b.sendFree = append(b.sendFree, 0)
+	}
+	b.snoopers[slot] = s
+	b.recvs[slot] = r
+	pos := len(b.orderIDs)
 	if id != MemID {
-		for i, v := range b.order {
+		for i, v := range b.orderIDs {
 			if v == MemID || v > id {
 				pos = i
 				break
 			}
 		}
 	}
-	b.order = append(b.order, 0)
-	copy(b.order[pos+1:], b.order[pos:])
-	b.order[pos] = id
+	b.order = slices.Insert(b.order, pos, s)
+	b.orderIDs = slices.Insert(b.orderIDs, pos, id)
+}
+
+// attached reports whether a controller is attached under id.
+func (b *Bus) attached(id int) bool {
+	slot := id + 1
+	return slot >= 0 && slot < len(b.snoopers) && b.snoopers[slot] != nil
 }
 
 // Stats returns accumulated interconnect counters.
@@ -286,9 +313,7 @@ func (b *Bus) Reset() {
 	b.nextGrant = 0
 	b.nextID = 0
 	clear(b.sendFree)
-	clear(b.stats.Txns)
-	txns := b.stats.Txns
-	b.stats = Stats{Txns: txns}
+	b.stats = Stats{}
 }
 
 // AdoptState copies src's grant clock, transaction numbering, per-endpoint
@@ -301,22 +326,74 @@ func (b *Bus) AdoptState(src *Bus) {
 	}
 	b.nextGrant = src.nextGrant
 	b.nextID = src.nextID
-	clear(b.sendFree)
-	for id, t := range src.sendFree {
-		b.sendFree[id] = t
-	}
-	txns := b.stats.Txns
-	clear(txns)
-	for k, v := range src.stats.Txns {
-		txns[k] = v
-	}
+	b.sendFree = append(b.sendFree[:0], src.sendFree...)
 	b.stats = src.stats
-	b.stats.Txns = txns
+}
+
+// poisonReleased turns released pooled records into tripwires: instead of
+// going back on a free list, a released Txn (and a coherence controller's
+// released miss record) is filled with garbage and never handed out again,
+// so any later use of a stale pointer either sends to a nonexistent
+// controller or trips a double-release panic. A debugging aid for the
+// pools' lifetime rules; tests switch it on around golden runs.
+var poisonReleased atomic.Bool
+
+// PoisonReleased switches release poisoning on or off and returns the
+// previous setting.
+func PoisonReleased(on bool) bool { return poisonReleased.Swap(on) }
+
+// Poisoning reports whether release poisoning is on.
+func Poisoning() bool { return poisonReleased.Load() }
+
+// NewTxn returns a zeroed transaction from the bus's free list. A pooled
+// transaction is reference counted: Issue gives the bus the first
+// reference, which it drops once the snoop event has run; every record that
+// keeps the pointer past that event — a coherence chain entry, a deferred
+// payload, a memory-response event — takes its own with Retain and drops it
+// with Release. The last Release recycles the transaction. A transaction
+// built with a composite literal is never recycled.
+func (b *Bus) NewTxn() *Txn {
+	if n := len(b.freeTxns); n > 0 {
+		t := b.freeTxns[n-1]
+		b.freeTxns = b.freeTxns[:n-1]
+		*t = Txn{pooled: true}
+		return t
+	}
+	return &Txn{pooled: true}
+}
+
+// Retain adds a reference to t.
+func (b *Bus) Retain(t *Txn) {
+	if t.poisoned {
+		panic("bus: Retain of a released transaction")
+	}
+	t.refs++
+}
+
+// Release drops a reference to t, recycling a pooled transaction when it
+// was the last.
+func (b *Bus) Release(t *Txn) {
+	if t.poisoned || t.refs <= 0 {
+		panic(fmt.Sprintf("bus: Release of a released transaction (%s)", t))
+	}
+	t.refs--
+	if t.refs > 0 || !t.pooled {
+		return
+	}
+	if Poisoning() {
+		*t = Txn{ID: ^uint64(0), Kind: GetX, Line: ^memsys.Addr(0), Src: MemID - 1, poisoned: true}
+		return
+	}
+	b.freeTxns = append(b.freeTxns, t)
 }
 
 // Issue queues transaction t for the address network. The bus assigns the
 // transaction ID and, at grant time, the global order.
 func (b *Bus) Issue(t *Txn) uint64 {
+	if t.poisoned {
+		panic("bus: Issue of a released transaction")
+	}
+	t.refs++
 	b.nextID++
 	t.ID = b.nextID
 	t.issued = b.k.Now()
@@ -393,20 +470,21 @@ func (b *Bus) grant() {
 
 func (b *Bus) resolveSnoop(t *Txn) {
 	if t.Kind == Upgrade {
-		if s, ok := b.snoopers[t.Src]; ok {
-			t.SrcHolds = s.SnoopShared(t.Line)
+		if b.attached(t.Src) {
+			t.SrcHolds = b.snoopers[t.Src+1].SnoopShared(t.Line)
 		}
 	}
 	owner := MemID
 	shared := false
-	for _, id := range b.order {
+	for i, s := range b.order {
+		id := b.orderIDs[i]
 		if id == MemID {
 			continue
 		}
-		if owner == MemID && b.snoopers[id].SnoopOwner(t.Line) {
+		if owner == MemID && s.SnoopOwner(t.Line) {
 			owner = id
 		}
-		if id != t.Src && !shared && b.snoopers[id].SnoopShared(t.Line) {
+		if id != t.Src && !shared && s.SnoopShared(t.Line) {
 			shared = true
 		}
 	}
@@ -417,14 +495,15 @@ func (b *Bus) resolveSnoop(t *Txn) {
 		// exempt from both — that exemption IS the forward-progress
 		// guarantee for requests the owner (or injector) would otherwise
 		// refuse forever.
-		if b.snoopers[owner].SnoopNack(t) || b.faults.ForceNack() {
+		if b.snoopers[owner+1].SnoopNack(t) || b.faults.ForceNack() {
 			t.Nacked = true
 			b.stats.Nacks++
 		}
 	}
-	for _, id := range b.order {
-		b.snoopers[id].Snoop(t, owner, shared)
+	for _, s := range b.order {
+		s.Snoop(t, owner, shared)
 	}
+	b.Release(t)
 }
 
 // Send delivers msg to controller `to` over the data network after the data
@@ -489,30 +568,30 @@ func (b *Bus) SendProbe(to int, line memsys.Addr, ts stamp.Stamp, from int) {
 // legally land arbitrarily later; data responses stay on time — the split
 // transaction is already accounted against the requester).
 func (b *Bus) sendMsg(to int, msg Msg, deliver sim.Callback, extra sim.Time) {
-	from := msg.msgFrom()
+	if !b.attached(to) {
+		panic(fmt.Sprintf("bus: Send to unknown controller %d", to))
+	}
+	from := msg.msgFrom() + 1
 	depart := b.sendFree[from]
 	if now := b.k.Now(); depart < now {
 		depart = now
 	}
 	b.sendFree[from] = depart + sim.Time(b.cfg.Occupancy)
-	if _, ok := b.recvs[to]; !ok {
-		panic(fmt.Sprintf("bus: Send to unknown controller %d", to))
-	}
-	b.k.AtCall(depart+sim.Time(b.cfg.DataLat)+extra, deliver, b, msg, uint64(int64(to)))
+	b.k.AtCall(depart+sim.Time(b.cfg.DataLat)+extra, deliver, b, msg, uint64(to+1))
 }
 
 // deliverEvent and deliverRecycleEvent are the pre-bound delivery callbacks:
-// recv is the Bus, arg the message, n the destination id. Receivers must not
-// retain a recycled message past Deliver.
+// recv is the Bus, arg the message, n the destination's table slot (id+1).
+// Receivers must not retain a recycled message past Deliver.
 func deliverEvent(recv, arg any, n uint64) {
 	b := recv.(*Bus)
-	b.recvs[int(int64(n))].Deliver(arg.(Msg))
+	b.recvs[n].Deliver(arg.(Msg))
 }
 
 func deliverRecycleEvent(recv, arg any, n uint64) {
 	b := recv.(*Bus)
 	msg := arg.(Msg)
-	b.recvs[int(int64(n))].Deliver(msg)
+	b.recvs[n].Deliver(msg)
 	switch v := msg.(type) {
 	case *DataResp:
 		b.freeData = append(b.freeData, v)

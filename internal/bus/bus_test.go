@@ -1,6 +1,7 @@
 package bus
 
 import (
+	"fmt"
 	"testing"
 
 	"tlrsim/internal/memsys"
@@ -236,14 +237,18 @@ func TestDeterministicWithJitter(t *testing.T) {
 }
 
 func TestDuplicateAttachPanics(t *testing.T) {
-	k := sim.New(1)
-	b, _, _ := testbus(k, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate attach must panic")
-		}
-	}()
-	b.Attach(0, newFake(0), newFake(0))
+	for _, id := range []int{0, MemID} {
+		k := sim.New(1)
+		b, _, _ := testbus(k, 1)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("duplicate attach of %d must panic", id)
+				}
+			}()
+			b.Attach(id, newFake(id), newFake(id))
+		}()
+	}
 }
 
 func TestWriteBackCarriesData(t *testing.T) {
@@ -286,5 +291,149 @@ func TestNackNotConsultedForOwnRequests(t *testing.T) {
 	k.Run()
 	if tx.Nacked {
 		t.Fatal("a controller must not nack its own request")
+	}
+}
+
+func TestSendToUnknownIDPanics(t *testing.T) {
+	// 1 is a hole between attached ids, 7 lies past the table, -2 below it.
+	for _, to := range []int{1, 7, -2} {
+		k := sim.New(1)
+		b := New(k, Config{SnoopLat: 20, DataLat: 20, ArbCycles: 1})
+		b.Attach(MemID, newFake(MemID), newFake(MemID))
+		b.Attach(0, newFake(0), newFake(0))
+		b.Attach(2, newFake(2), newFake(2))
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Send to unknown controller %d must panic", to)
+				}
+			}()
+			b.Send(to, &Marker{From: 0})
+		}()
+	}
+}
+
+// TestMemSlotRoundTrips: memory is slot 0 of the dense tables. Its
+// injection-port state must survive AdoptState and clear on Reset like any
+// CPU's.
+func TestMemSlotRoundTrips(t *testing.T) {
+	build := func() (*sim.Kernel, *Bus, *[]sim.Time) {
+		k := sim.New(1)
+		b := New(k, Config{SnoopLat: 20, DataLat: 10, Occupancy: 4, ArbCycles: 1})
+		var arrivals []sim.Time
+		b.Attach(0, newFake(0), recvFunc(func(Msg) { arrivals = append(arrivals, k.Now()) }))
+		b.Attach(MemID, newFake(MemID), newFake(MemID))
+		return k, b, &arrivals
+	}
+	ksrc, src, _ := build()
+	src.Send(0, &Marker{From: MemID}) // memory's port is busy until cycle 4
+	ksrc.Run()
+
+	k, dst, arrivals := build()
+	dst.AdoptState(src)
+	dst.Send(0, &Marker{From: MemID})
+	k.Run()
+	if got := *arrivals; len(got) != 1 || got[0] != 14 {
+		t.Fatalf("adopted memory port: arrivals %v, want [14]", got)
+	}
+
+	dst.Reset()
+	k.Reset(1)
+	*arrivals = nil
+	dst.Send(0, &Marker{From: MemID})
+	k.Run()
+	if got := *arrivals; len(got) != 1 || got[0] != 10 {
+		t.Fatalf("reset memory port: arrivals %v, want [10]", got)
+	}
+}
+
+func TestTxnPoolRecycles(t *testing.T) {
+	k := sim.New(1)
+	b, _, _ := testbus(k, 2)
+	tx := b.NewTxn()
+	tx.Kind, tx.Line, tx.Src = GetS, 0x40, 0
+	b.Issue(tx)
+	b.Retain(tx) // a record that outlives the snoop
+	k.Run()
+	if got := b.NewTxn(); got == tx {
+		t.Fatal("a retained transaction was recycled")
+	}
+	b.Release(tx)
+	if got := b.NewTxn(); got != tx || got.ID != 0 || got.Line != 0 {
+		t.Fatal("the released transaction was not recycled zeroed")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("releasing an unreferenced transaction must panic")
+			}
+		}()
+		b.Release(tx)
+	}()
+
+	// Literal transactions are never pooled.
+	lit := &Txn{Kind: GetS, Line: 0x80, Src: 1}
+	b.Issue(lit)
+	k.Run()
+	if b.NewTxn() == lit {
+		t.Fatal("a literal transaction was recycled")
+	}
+}
+
+func TestTxnPoisoning(t *testing.T) {
+	prev := PoisonReleased(true)
+	defer PoisonReleased(prev)
+	k := sim.New(1)
+	b, _, _ := testbus(k, 2)
+	tx := b.NewTxn()
+	tx.Kind, tx.Line, tx.Src = GetS, 0x40, 0
+	b.Issue(tx)
+	k.Run()
+	if b.NewTxn() == tx {
+		t.Fatal("a poisoned transaction was handed out again")
+	}
+	for name, use := range map[string]func(){
+		"Issue":   func() { b.Issue(tx) },
+		"Retain":  func() { b.Retain(tx) },
+		"Release": func() { b.Release(tx) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s of a poisoned transaction must panic", name)
+				}
+			}()
+			use()
+		}()
+	}
+}
+
+// nopSnooper is a snooper whose queries cost nothing, so the benchmark
+// measures the bus's own dispatch.
+type nopSnooper struct{}
+
+func (nopSnooper) SnoopOwner(memsys.Addr) bool  { return false }
+func (nopSnooper) SnoopShared(memsys.Addr) bool { return false }
+func (nopSnooper) SnoopNack(*Txn) bool          { return false }
+func (nopSnooper) Snoop(*Txn, int, bool)        {}
+func (nopSnooper) Deliver(Msg)                  {}
+
+// BenchmarkResolveSnoop measures one snoop resolution — owner and sharer
+// polls plus the broadcast — across P CPU controllers and memory.
+func BenchmarkResolveSnoop(b *testing.B) {
+	for _, procs := range []int{4, 16} {
+		b.Run(fmt.Sprintf("P=%d", procs), func(b *testing.B) {
+			bus := New(sim.New(1), Config{SnoopLat: 20, DataLat: 20, ArbCycles: 1})
+			for i := 0; i < procs; i++ {
+				bus.Attach(i, nopSnooper{}, nopSnooper{})
+			}
+			bus.Attach(MemID, nopSnooper{}, nopSnooper{})
+			tx := &Txn{Kind: GetX, Line: 0x40, Src: 1}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tx.refs = 1 // the reference Issue would hold
+				bus.resolveSnoop(tx)
+			}
+		})
 	}
 }

@@ -23,8 +23,13 @@ type chainEntry struct {
 	txn *bus.Txn
 }
 
-// mshr tracks one outstanding miss (miss status handling register).
+// mshr tracks one outstanding miss (miss status handling register). Records
+// are recycled through the controller's free list (newMSHR/releaseMSHR);
+// gen counts the record's reuses, so a reference held across events (the
+// NACK-retry event) can tell its miss from a later one in the same record.
 type mshr struct {
+	gen uint64
+
 	line    memsys.Addr
 	kind    bus.Kind // GetS or GetX (Upgrade converts on loss)
 	txnID   uint64
@@ -94,7 +99,32 @@ type mshr struct {
 	// (the non-speculative forward-progress escalation).
 	priority bool
 
-	waiters []OpDone
+	waiters []waiter
+}
+
+// waiter is one operation blocked on an MSHR's fill. A load records its
+// address rather than wrapping done in a closure, so a load miss allocates
+// nothing here: the fill hands done the word this CPU then observes at addr,
+// checked by the functional checker as of transaction txSeq. Any other
+// waiter (load false) is a callback the fill runs as done(0, true).
+type waiter struct {
+	done  OpDone
+	load  bool
+	addr  memsys.Addr
+	txSeq uint64
+}
+
+// wake runs w once its fill has landed (or is being forwarded).
+func (c *Controller) wake(w waiter) {
+	if !w.load {
+		w.done(0, true)
+		return
+	}
+	v := c.localWord(w.addr)
+	if c.sys.Check != nil {
+		c.checkLoad(w.addr, v, w.txSeq)
+	}
+	w.done(v, true)
 }
 
 // Stats counts controller-level activity.
@@ -122,6 +152,8 @@ type Controller struct {
 	eng   *core.Engine
 
 	mshrs map[memsys.Addr]*mshr
+	// freeMSHRs holds retired miss records for reuse, slices and all.
+	freeMSHRs []*mshr
 
 	// draining holds invalidated GetS requests (ordered before a writer)
 	// detached from the line: their data, when it arrives, is forwarded to
@@ -284,40 +316,12 @@ func (c *Controller) LoadHit(a memsys.Addr, wantExcl bool) (uint64, bool) {
 // event.
 func (c *Controller) LoadMiss(a memsys.Addr, wantExcl bool, done OpDone) {
 	c.stats.Loads++
-	if c.sys.Check != nil {
-		inner := done
-		txSeq := c.eng.TxSeq()
-		done = func(v uint64, ok bool) {
-			if ok {
-				c.checkLoad(a, v, txSeq)
-			}
-			inner(v, ok)
-		}
-	}
 	c.stats.Misses++
 	spec := c.eng.Speculating()
 	line := a.Line()
 	excl := wantExcl || (spec && c.eng.WantExclusiveRead(line))
 	m := c.ensureMSHR(line, excl, spec, false)
-	m.waiters = append(m.waiters, done)
-	c.addMSHRWordWaiter(m, a)
-}
-
-// addMSHRWordWaiter rewrites the last waiter so it extracts the right word
-// from the filled line. (Waiters receive the word value directly.)
-func (c *Controller) addMSHRWordWaiter(m *mshr, a memsys.Addr) {
-	idx := len(m.waiters) - 1
-	inner := m.waiters[idx]
-	m.waiters[idx] = func(val uint64, ok bool) {
-		_ = val
-		if !ok {
-			inner(0, false)
-			return
-		}
-		// The line is installed (or being forwarded) by the fill path; read
-		// the current architectural value seen by this CPU.
-		inner(c.localWord(a), true)
-	}
+	m.waiters = append(m.waiters, waiter{done: done, load: true, addr: a, txSeq: c.eng.TxSeq()})
 }
 
 // checkLoad feeds a completed load to the functional checker: speculative
@@ -461,7 +465,7 @@ func (c *Controller) storeExec(a memsys.Addr, v uint64, done OpDone) {
 	}
 	c.stats.Misses++
 	m := c.ensureWritable(line, false, false)
-	m.waiters = append(m.waiters, func(_ uint64, ok bool) {
+	m.waiters = append(m.waiters, waiter{done: func(_ uint64, ok bool) {
 		if !ok {
 			done(0, false)
 			return
@@ -479,7 +483,7 @@ func (c *Controller) storeExec(a memsys.Addr, v uint64, done OpDone) {
 		c.checkStore(a, v)
 		c.notifyLine(line)
 		done(v, true)
-	})
+	}})
 }
 
 // checkStore feeds a completed plain store to the functional checker.
@@ -535,7 +539,7 @@ func (c *Controller) SC(a memsys.Addr, v uint64, done OpDone) {
 	// Need write permission; the link may break while we wait.
 	c.stats.Misses++
 	m := c.ensureWritable(line, false, false)
-	m.waiters = append(m.waiters, func(_ uint64, ok bool) {
+	m.waiters = append(m.waiters, waiter{done: func(_ uint64, ok bool) {
 		if !ok {
 			done(0, false)
 			return
@@ -551,7 +555,7 @@ func (c *Controller) SC(a memsys.Addr, v uint64, done OpDone) {
 		c.checkStore(a, v)
 		c.notifyLine(line)
 		done(1, true)
-	})
+	}})
 }
 
 // Swap atomically exchanges v with the word at a, returning the old value
@@ -632,7 +636,7 @@ func (c *Controller) rmwNonSpec(a memsys.Addr, fn func(old uint64) (uint64, bool
 	}
 	c.stats.Misses++
 	m := c.ensureWritable(line, false, false)
-	m.waiters = append(m.waiters, func(_ uint64, ok bool) {
+	m.waiters = append(m.waiters, waiter{done: func(_ uint64, ok bool) {
 		if !ok {
 			done(0, false)
 			return
@@ -653,7 +657,7 @@ func (c *Controller) rmwNonSpec(a memsys.Addr, fn func(old uint64) (uint64, bool
 			c.notifyLine(line)
 		}
 		done(old, true)
-	})
+	}})
 }
 
 // checkRMW feeds a completed atomic read-modify-write to the checker.
@@ -743,18 +747,16 @@ func (c *Controller) ensureMSHR(line memsys.Addr, excl, spec, specWrite bool) *m
 }
 
 func (c *Controller) issue(line memsys.Addr, kind bus.Kind, spec, specWrite bool) *mshr {
-	m := &mshr{
-		line:         line,
-		kind:         kind,
-		stamp:        c.eng.Stamp(),
-		spec:         spec,
-		specWrite:    specWrite,
-		wantWritable: kind != bus.GetS,
-		upstream:     bus.MemID,
-	}
+	m := c.newMSHR()
+	m.line = line
+	m.kind = kind
+	m.stamp = c.eng.Stamp()
+	m.spec = spec
+	m.specWrite = specWrite
+	m.wantWritable = kind != bus.GetS
+	m.upstream = bus.MemID
 	c.mshrs[line] = m
-	t := &bus.Txn{Kind: kind, Line: line, Src: c.id, Stamp: m.stamp}
-	m.txnID = c.sys.Bus.Issue(t)
+	m.txnID = c.issueTxn(kind, line, m.stamp, false)
 	// If we are speculating and just created a miss on a second line while
 	// holding a relaxed-win deferral, timestamp order must be restored
 	// (§3.2): the engine re-checks on the next conflict; additionally any
@@ -764,6 +766,50 @@ func (c *Controller) issue(line memsys.Addr, kind bus.Kind, spec, specWrite bool
 	}
 	return m
 }
+
+// issueTxn puts a pooled request transaction on the bus and returns its id.
+func (c *Controller) issueTxn(kind bus.Kind, line memsys.Addr, ts stamp.Stamp, priority bool) uint64 {
+	t := c.sys.Bus.NewTxn()
+	t.Kind, t.Line, t.Src, t.Stamp, t.Priority = kind, line, c.id, ts, priority
+	return c.sys.Bus.Issue(t)
+}
+
+// newMSHR takes a zeroed miss record from the free list (or allocates one).
+func (c *Controller) newMSHR() *mshr {
+	if n := len(c.freeMSHRs); n > 0 {
+		m := c.freeMSHRs[n-1]
+		c.freeMSHRs = c.freeMSHRs[:n-1]
+		return m
+	}
+	return &mshr{}
+}
+
+// releaseMSHR recycles a miss record that no map, chain, or pending event
+// can reach as live any more. The record is zeroed except for the backing
+// arrays of its slices, and its generation advances. Under bus release
+// poisoning the record is instead filled with garbage and never reused.
+func (c *Controller) releaseMSHR(m *mshr) {
+	if m.line == poisonLine {
+		panic("coherence: release of a released miss record")
+	}
+	if bus.Poisoning() {
+		*m = mshr{gen: m.gen + 1, line: poisonLine, txnID: ^uint64(0), kind: bus.Kind(-1),
+			upstream: bus.MemID - 1, hasUpstream: true}
+		return
+	}
+	clear(m.chain)
+	clear(m.waiters)
+	*m = mshr{
+		gen:           m.gen + 1,
+		chain:         m.chain[:0],
+		waiters:       m.waiters[:0],
+		pendingProbes: m.pendingProbes[:0],
+	}
+	c.freeMSHRs = append(c.freeMSHRs, m)
+}
+
+// poisonLine marks a released miss record under bus release poisoning.
+const poisonLine = ^memsys.Addr(0)
 
 // enforceTimestampOrderAfterNewMiss aborts the transaction if a deferred
 // request with an earlier timestamp exists on a different line than the new

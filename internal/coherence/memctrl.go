@@ -51,7 +51,9 @@ func (m *MemController) Snoop(t *bus.Txn, owner int, shared bool) {
 			sharedResp = 1
 		}
 		// t's identifying fields are immutable once ordered, so the response
-		// event can carry the transaction itself instead of a closure.
+		// event can carry the transaction itself (holding a reference)
+		// instead of a closure.
+		m.sys.Bus.Retain(t)
 		m.sys.K.AfterCall(lat, memRespEvent, m, t, sharedResp)
 	case bus.Upgrade:
 		// The requester already has data; nothing for memory to do.
@@ -65,6 +67,7 @@ func memRespEvent(recv, arg any, n uint64) {
 	t := arg.(*bus.Txn)
 	data := mc.sys.Mem.ReadLine(t.Line)
 	mc.sys.Bus.SendData(t.Src, t.ID, t.Line, &data, bus.MemID, n == 1)
+	mc.sys.Bus.Release(t)
 }
 
 // Deliver: memory receives no data-network messages in this protocol.

@@ -215,8 +215,7 @@ func (c *Controller) snoopOwn(t *bus.Txn, owner int, shared bool) {
 		m.ordered = false
 		c.sys.Bus.Complete()
 		m.kind = bus.GetX
-		nt := &bus.Txn{Kind: bus.GetX, Line: t.Line, Src: c.id, Stamp: m.stamp}
-		m.txnID = c.sys.Bus.Issue(nt)
+		m.txnID = c.issueTxn(bus.GetX, t.Line, m.stamp, false)
 		return
 	default:
 		if t.Nacked {
@@ -231,9 +230,9 @@ func (c *Controller) snoopOwn(t *bus.Txn, owner int, shared bool) {
 		if d, wbOK := c.wbPending[t.Line]; wbOK && owner == c.id {
 			// Our own just-evicted dirty data races our re-fetch: no one
 			// else can supply, so self-supply from the write-back buffer.
-			req := t.ID
+			req, line := t.ID, t.Line
 			c.sys.K.After(1, func() {
-				c.Deliver(&bus.DataResp{Req: req, Line: t.Line, Data: d, From: c.id})
+				c.Deliver(&bus.DataResp{Req: req, Line: line, Data: d, From: c.id})
 			})
 		}
 	}
@@ -257,6 +256,7 @@ func (c *Controller) nackedOwnRequest(t *bus.Txn) {
 		if cur, live := c.mshrs[dm.line]; live {
 			// A newer request for the line exists: its fill serves everyone.
 			cur.waiters = append(cur.waiters, dm.waiters...)
+			c.releaseMSHR(dm)
 			c.sys.Bus.Complete()
 			return
 		}
@@ -279,6 +279,7 @@ func (c *Controller) nackedOwnRequest(t *bus.Txn) {
 			// The request itself dies here; its waiters are squashed by the
 			// abort.
 			delete(c.mshrs, m.line)
+			c.releaseMSHR(m)
 			c.AbortTxn(core.ReasonResource)
 			return
 		}
@@ -289,16 +290,19 @@ func (c *Controller) nackedOwnRequest(t *bus.Txn) {
 		// otherwise only die at the stall watchdog).
 		m.priority = true
 	}
-	kind, stamp, line := m.kind, m.stamp, m.line
 	backoff := nackBackoff(c.eng.Policy().Seed, c.id, m.nackRetries)
-	c.sys.K.After(backoff, func() {
-		cur, still := c.mshrs[line]
-		if !still || cur != m {
-			return // the miss was satisfied or replaced meanwhile
-		}
-		nt := &bus.Txn{Kind: kind, Line: line, Src: c.id, Stamp: stamp, Priority: m.priority}
-		m.txnID = c.sys.Bus.Issue(nt)
-	})
+	c.sys.K.AfterCall(backoff, nackRetryEvent, c, m, m.gen)
+}
+
+// nackRetryEvent reissues NACKed miss arg (*mshr) after its backoff, unless
+// the miss was satisfied or replaced meanwhile: the record left the MSHR
+// table, or was recycled (its generation moved past gen).
+func nackRetryEvent(recv, arg any, gen uint64) {
+	c, m := recv.(*Controller), arg.(*mshr)
+	if m.gen != gen || c.mshrs[m.line] != m {
+		return
+	}
+	m.txnID = c.issueTxn(m.kind, m.line, m.stamp, m.priority)
 }
 
 // pathologicalNacks is the refusal count past which a request stops
@@ -337,6 +341,7 @@ const (
 // upstream neighbour (§3.1.1).
 func (c *Controller) chainAtPending(m *mshr, t *bus.Txn) {
 	c.stats.ChainedRequests++
+	c.sys.Bus.Retain(t)
 	m.chain = append(m.chain, chainEntry{txn: t})
 	c.sys.Trace(c.id, trace.MarkerSent, t.Line, "")
 	c.sys.Bus.SendMarker(t.Src, t.ID, t.Line, c.id)
@@ -400,6 +405,7 @@ func (c *Controller) snoopAsOwner(t *bus.Txn, l *cache.Line) {
 			}
 		}
 		if dec == core.Defer {
+			c.sys.Bus.Retain(t)
 			c.eng.PushDeferred(core.Deferred{Line: line, Stamp: t.Stamp, Payload: t, EnqueuedAt: uint64(c.sys.K.Now())})
 			c.sys.TraceStamp(c.id, trace.Deferral, line, t.Stamp)
 			c.sys.Metrics.NoteDeferral(c.id)
@@ -498,7 +504,7 @@ func (c *Controller) Deliver(msg bus.Msg) {
 			for _, ts := range m.pendingProbes {
 				c.sys.Bus.SendProbe(m.upstream, m.line, ts, c.id)
 			}
-			m.pendingProbes = nil
+			m.pendingProbes = m.pendingProbes[:0]
 		}
 	case *bus.Probe:
 		c.deliverProbe(v)
@@ -595,13 +601,12 @@ func (c *Controller) finishDraining(m *mshr, r *bus.DataResp) {
 	for i := 0; i < memsys.WordsPerLine; i++ {
 		c.fillForward[line+memsys.Addr(i*memsys.WordBytes)] = r.Data[i]
 	}
-	waiters := m.waiters
-	m.waiters = nil
 	c.drainForwarding = true
-	for _, w := range waiters {
-		w(0, true)
+	for _, w := range m.waiters {
+		c.wake(w)
 	}
 	c.drainForwarding = false
+	c.releaseMSHR(m)
 	for i := 0; i < memsys.WordsPerLine; i++ {
 		delete(c.fillForward, line+memsys.Addr(i*memsys.WordBytes))
 	}
@@ -614,7 +619,7 @@ func (c *Controller) finishDraining(m *mshr, r *bus.DataResp) {
 // finishMSHR completes a fill (or instant upgrade): the MSHR retires FIRST
 // (so waiter callbacks that re-request the line get a fresh MSHR), then
 // waiters run, chained requests are resolved, and commit readiness is
-// re-checked.
+// re-checked. The record is recycled last, once nothing below reads it.
 func (c *Controller) finishMSHR(m *mshr, frame *cache.Line) {
 	line := m.line
 	if m.spec && c.eng.Speculating() && !c.eng.Aborted() && frame != nil {
@@ -624,20 +629,16 @@ func (c *Controller) finishMSHR(m *mshr, frame *cache.Line) {
 		}
 	}
 
-	chain := m.chain
-	m.chain = nil
-	waiters := m.waiters
-	m.waiters = nil
 	c.retireMSHR(m)
 
-	for _, w := range waiters {
-		w(0, true)
+	for _, w := range m.waiters {
+		c.wake(w)
 	}
 
 	// An upgrade requested mid-flight (load fill arrived shared but a store
 	// meanwhile needs ownership). A waiter may already have issued it.
 	if m.upgradeAfterFill {
-		if len(chain) != 0 {
+		if len(m.chain) != 0 {
 			panic("coherence: GetS fill with chain")
 		}
 		if l := c.cache.Probe(line); l != nil && !l.State.Writable() {
@@ -645,9 +646,10 @@ func (c *Controller) finishMSHR(m *mshr, frame *cache.Line) {
 		}
 	}
 
-	c.serviceChain(line, chain)
+	c.serviceChain(line, m.chain)
 	c.notifyLine(line)
 	c.checkCommit()
+	c.releaseMSHR(m)
 }
 
 func (c *Controller) retireMSHR(m *mshr) {
@@ -659,7 +661,9 @@ func (c *Controller) retireMSHR(m *mshr) {
 
 // serviceChain resolves the requests that queued behind our pending request
 // (in order). Conflicting ones are re-resolved now that data is here: defer
-// (push to the deferred queue) or lose (abort, then service).
+// (push to the deferred queue) or lose (abort, then service). Each entry's
+// reference to its transaction moves to the deferred queue or is dropped
+// once the request is serviced.
 func (c *Controller) serviceChain(line memsys.Addr, chain []chainEntry) {
 	for _, e := range chain {
 		t := e.txn
@@ -701,6 +705,7 @@ func (c *Controller) serviceChain(line memsys.Addr, chain []chainEntry) {
 			l = c.mustProbe(line)
 		}
 		c.serviceAsOwner(t, l)
+		c.sys.Bus.Release(t)
 	}
 }
 
@@ -716,7 +721,9 @@ func (c *Controller) handleEviction(ev *cache.Evicted) {
 	}
 	c.stats.Writebacks++
 	c.wbPending[ev.Tag] = ev.Data
-	c.sys.Bus.Issue(&bus.Txn{Kind: bus.WriteBack, Line: ev.Tag, Src: c.id, WBData: ev.Data})
+	t := c.sys.Bus.NewTxn()
+	t.Kind, t.Line, t.Src, t.WBData = bus.WriteBack, ev.Tag, c.id, ev.Data
+	c.sys.Bus.Issue(t)
 }
 
 // ---------------------------------------------------------------------------
@@ -858,4 +865,5 @@ func (c *Controller) serveDeferred(d core.Deferred) {
 		}
 		c.notifyLine(d.Line)
 	}
+	c.sys.Bus.Release(t)
 }

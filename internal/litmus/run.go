@@ -135,8 +135,8 @@ func (r *Runner) Run(p Program, scheme proc.Scheme, seed int64, pt Perturb) (str
 	out, err := r.runOn(m, p)
 	if err != nil {
 		// An errored run (deadlock, livelock, checker violation) leaves
-		// blocked thread goroutines and pending events behind: the machine
-		// is not quiescent and must never be reused.
+		// unfinished threads and pending events behind: the machine is not
+		// quiescent and must never be reused.
 		if !r.cold {
 			delete(r.machines, key)
 		}

@@ -2,6 +2,7 @@ package proc
 
 import (
 	"fmt"
+	"math/rand"
 
 	"tlrsim/internal/coherence"
 	"tlrsim/internal/core"
@@ -37,10 +38,15 @@ type CPU struct {
 	elide *core.ElisionPredictor
 	rmw   *core.RMWPredictor
 
-	tc *TC
-	// src, when non-nil, feeds the operation stream directly (scripted
-	// threads: no goroutine, no channels). Exactly one of tc/src is active.
-	src    opSource
+	// src feeds the operation stream: a coroutine TC for workload threads,
+	// a litmusSM for scripted litmus threads. The CPU pulls each op with a
+	// direct call and hands back the previous op's result.
+	src opSource
+
+	// rng is the source behind TC.Rand, kept across runs and re-seeded by
+	// each run's thread on first use.
+	rng *rand.Rand
+
 	done   bool
 	finish sim.Time
 
@@ -132,37 +138,20 @@ func (cpu *CPU) Ctrl() *coherence.Controller { return cpu.ctrl }
 // Done reports whether the thread has finished.
 func (cpu *CPU) Done() bool { return cpu.done }
 
-// start launches the thread goroutine and schedules the first fetch, delay
-// cycles from now (Config.StartJitter scheduling perturbation; 0 preserves
-// the unperturbed schedule exactly).
-func (cpu *CPU) start(prog func(*TC), delay uint64) {
+// start attaches the thread's op source and schedules the first fetch,
+// delay cycles from now (Config.StartJitter scheduling perturbation; 0
+// preserves the unperturbed schedule exactly).
+func (cpu *CPU) start(src opSource, delay uint64) {
 	// A machine may Run more than once (snapshot/fork phases): clear the
 	// previous run's completion flag so allDone, the event budget, and the
 	// deadlock detector see this thread as live again.
 	cpu.done = false
-	cpu.src = nil
-	cpu.tc = newTC(cpu)
-	tc := cpu.tc
-	go func() {
-		defer close(tc.ops)
-		prog(tc)
-		tc.flushCompute()
-	}()
-	cpu.m.K.AtCall(cpu.m.K.Now()+sim.Time(delay), firstFetchEvent, cpu, nil, 0)
-}
-
-// startScripted launches a scripted thread: the op stream comes from src by
-// direct call, with no thread goroutine behind it. Scheduling is identical
-// to start — the first fetch fires delay cycles from now.
-func (cpu *CPU) startScripted(src opSource, delay uint64) {
-	cpu.done = false
-	cpu.tc = nil
 	cpu.src = src
 	cpu.m.K.AtCall(cpu.m.K.Now()+sim.Time(delay), firstFetchEvent, cpu, nil, 0)
 }
 
 func firstFetchEvent(recv, _ any, _ uint64) {
-	recv.(*CPU).fetchNext(true)
+	recv.(*CPU).resume(result{}, true)
 }
 
 // issueEvent starts the op parked in pendingOp (the one-cycle issue stage,
@@ -172,27 +161,11 @@ func issueEvent(recv, _ any, _ uint64) {
 	cpu.startOp(cpu.pendingOp)
 }
 
-// fetchNext obtains the thread's next operation: a direct call for scripted
-// threads, a (host-side) blocking channel receive for goroutine threads —
-// the thread is guaranteed to either send or finish. inlineOK marks calls
-// made at an event tail, where the issue event may be run inline.
-func (cpu *CPU) fetchNext(inlineOK bool) {
-	if cpu.src != nil {
-		cpu.scriptNext(result{}, inlineOK)
-		return
-	}
-	o, ok := <-cpu.tc.ops
-	if !ok {
-		cpu.threadDone()
-		return
-	}
-	cpu.stats.Ops++
-	cpu.issueOp(o, inlineOK)
-}
-
-// scriptNext delivers r to the scripted source and issues the operation it
-// yields (or retires the thread).
-func (cpu *CPU) scriptNext(r result, inlineOK bool) {
+// resume delivers r (the previous op's result; zero on the first fetch) to
+// the thread and issues the operation it yields next, or retires the thread.
+// inlineOK marks calls made at an event tail, where the issue event may be
+// run inline.
+func (cpu *CPU) resume(r result, inlineOK bool) {
 	o, ok := cpu.src.next(r)
 	if !ok {
 		cpu.threadDone()
@@ -203,6 +176,9 @@ func (cpu *CPU) scriptNext(r result, inlineOK bool) {
 }
 
 func (cpu *CPU) threadDone() {
+	// Drop the finished source: a coroutine keeps its program closure, and
+	// with it the workload's data, reachable for as long as it is.
+	cpu.src = nil
 	cpu.done = true
 	cpu.finish = cpu.m.K.Now()
 	cpu.stats.Finish = cpu.finish
@@ -361,7 +337,7 @@ func (cpu *CPU) startOp(o op) {
 }
 
 // startLead runs the pure-compute span folded into o (op batching: the span
-// never crossed the thread channel). It behaves exactly like the opCompute
+// never crossed to the CPU on its own). It behaves exactly like the opCompute
 // the thread would have issued — same events, same accounting, same abort
 // semantics — then re-issues the carried operation through the normal issue
 // stage.
@@ -411,13 +387,7 @@ func computeDoneEvent(recv, _ any, seq uint64) {
 func (cpu *CPU) finishOp(r result) {
 	cpu.opActive = false
 	cpu.account(cpu.curOp, uint64(cpu.m.K.Now()-cpu.opStart))
-	if cpu.src != nil {
-		cpu.scriptNext(r, true)
-		return
-	}
-	r.at = uint64(cpu.m.K.Now())
-	cpu.tc.res <- r
-	cpu.fetchNext(true)
+	cpu.resume(r, true)
 }
 
 // completeOp completes op seq from an arbitrary (possibly deep) kernel
@@ -430,13 +400,7 @@ func (cpu *CPU) completeOp(seq uint64, r result) {
 	}
 	cpu.opActive = false
 	cpu.account(cpu.curOp, uint64(cpu.m.K.Now()-cpu.opStart))
-	if cpu.src != nil {
-		cpu.scriptNext(r, false)
-		return
-	}
-	r.at = uint64(cpu.m.K.Now())
-	cpu.tc.res <- r
-	cpu.fetchNext(false)
+	cpu.resume(r, false)
 }
 
 // onAbort squashes whatever operation the thread is blocked on so it can

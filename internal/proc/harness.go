@@ -62,7 +62,7 @@ func (m *Machine) RunLitmus(lock *Lock, threads []LitmusThread) ([][]uint64, err
 	var err error
 	if m.cfg.Scheme == MCS {
 		// MCS acquisition has per-CPU queue-node state the scripted state
-		// machine does not model; run it on goroutine threads.
+		// machine does not model; run it on coroutine threads.
 		progs := make([]func(*TC), len(threads))
 		for i, th := range threads {
 			progs[i] = litmusProg(th, lock, loads[i])
@@ -73,7 +73,7 @@ func (m *Machine) RunLitmus(lock *Lock, threads []LitmusThread) ([][]uint64, err
 		for i, th := range threads {
 			srcs[i] = newLitmusSM(th, lock, loads[i])
 		}
-		err = m.runScripted(srcs)
+		err = m.runSources(srcs)
 	}
 	if err != nil {
 		return loads, err

@@ -2,11 +2,11 @@
 // workload threads written as ordinary Go functions against the simulated
 // memory system, in lock-step with the discrete-event kernel.
 //
-// A thread runs in its own goroutine and synchronises with its CPU through
-// an unbuffered channel pair: it sends one operation, the CPU simulates its
-// timing against the cache/bus model, and replies with the result at the
-// operation's completion cycle. Exactly one goroutine is runnable at any
-// host instant, so simulations are deterministic.
+// A thread runs as a coroutine driven by its CPU: it yields one operation,
+// the CPU simulates its timing against the cache/bus model, and resumes the
+// thread with the result at the operation's completion cycle. Thread code
+// runs only inside that resume call, never alongside the kernel loop, so
+// simulations are deterministic.
 //
 // Critical sections are expressed as tc.Critical(lock, body). Under BASE and
 // MCS the runtime acquires the lock with real simulated memory operations;
@@ -300,18 +300,18 @@ func (m *Machine) Run(progs []func(*TC)) error {
 	if len(progs) != len(m.CPUs) {
 		return fmt.Errorf("proc: %d programs for %d CPUs", len(progs), len(m.CPUs))
 	}
+	srcs := make([]opSource, len(progs))
 	for i, p := range progs {
-		m.CPUs[i].start(p, m.startDelay(i))
+		srcs[i] = newTC(m.CPUs[i], p)
 	}
-	return m.runLoop()
+	return m.runSources(srcs)
 }
 
-// runScripted executes one scripted thread per CPU: identical scheduling and
-// event structure to Run, with the op streams fed by direct calls instead of
-// thread goroutines.
-func (m *Machine) runScripted(srcs []opSource) error {
+// runSources executes one op source per CPU (coroutine threads from Run,
+// scripted litmus threads from RunLitmus) on the shared event loop.
+func (m *Machine) runSources(srcs []opSource) error {
 	for i, s := range srcs {
-		m.CPUs[i].startScripted(s, m.startDelay(i))
+		m.CPUs[i].start(s, m.startDelay(i))
 	}
 	return m.runLoop()
 }
@@ -328,9 +328,10 @@ func (m *Machine) startDelay(cpu int) uint64 {
 	return startDelay(m.cfg.Seed, cpu) % (m.cfg.StartJitter + 1)
 }
 
-// runLoop is the shared event loop behind Run and runScripted. All three
-// failure exits (event budget, deadlock, watchdog) return a structured
-// *StallError (stall.go) joined with any checker divergence.
+// runLoop is the event loop behind runSources. All three failure exits
+// (event budget, deadlock, watchdog) return a structured *StallError
+// (stall.go) joined with any checker divergence, and unwind every unfinished
+// thread.
 func (m *Machine) runLoop() error {
 	m.mx.Registry().StartSamplers(m.K)
 	m.lastProgressAt = m.K.Now()
@@ -341,7 +342,7 @@ func (m *Machine) runLoop() error {
 			break
 		}
 		if m.K.Fired() >= m.cfg.MaxEvents {
-			return errors.Join(m.stallError(StallEventBudget), m.CheckerErr())
+			return m.fail(StallEventBudget)
 		}
 		// The watchdog check reads only host-side counters — no kernel
 		// events, so arming it cannot perturb the simulated schedule. It is
@@ -349,7 +350,7 @@ func (m *Machine) runLoop() error {
 		iter++
 		if watchdog > 0 && iter&1023 == 0 {
 			if now := m.K.Now(); now > m.lastProgressAt && uint64(now-m.lastProgressAt) > watchdog {
-				return errors.Join(m.stallError(StallWatchdog), m.CheckerErr())
+				return m.fail(StallWatchdog)
 			}
 		}
 		if !m.K.Step() {
@@ -360,7 +361,7 @@ func (m *Machine) runLoop() error {
 			if m.recoverDeadlock() {
 				continue
 			}
-			return errors.Join(m.stallError(StallDeadlock), m.CheckerErr())
+			return m.fail(StallDeadlock)
 		}
 	}
 	// Stop samplers before draining: a self-rescheduling sampler tick would
@@ -369,6 +370,19 @@ func (m *Machine) runLoop() error {
 	// Drain the memory system (in-flight write-backs etc.).
 	m.K.Run()
 	return nil
+}
+
+// fail builds the failure exit's error, then stops every unfinished
+// coroutine thread: a suspended thread would otherwise keep its goroutine
+// and stack alive for as long as the process runs.
+func (m *Machine) fail(kind StallKind) error {
+	err := errors.Join(m.stallError(kind), m.CheckerErr())
+	for _, c := range m.CPUs {
+		if tc, ok := c.src.(*TC); ok && !c.done {
+			tc.stop()
+		}
+	}
+	return err
 }
 
 // startDelay mixes (seed, cpu) through splitmix64: cheap, well-distributed,

@@ -2,17 +2,19 @@ package proc
 
 // Scripted thread execution: a litmus thread's operation stream is a pure
 // function of the results it observes, so it can be driven by an explicit
-// state machine instead of a goroutine blocked on a channel pair. The CPU
-// pulls the next operation with a direct call — no goroutine spawn, no
-// channel handoff, no scheduler parking — which matters when a sweep runs
-// millions of micro-programs. The state machine reproduces the exact op
-// sequence of litmusProg + TC.Critical + locks.AcquireTTS/ReleaseTTS: same
-// ops, same fields, same retry/restart decisions, so simulated behaviour is
-// identical to the goroutine path op for op.
+// state machine instead of a coroutine thread. The state machine costs no
+// coroutine creation and no switch per op, which matters when a sweep runs
+// millions of micro-programs: running the litmus threads as coroutines
+// instead made the full 2×2×≤3 sweep about 50% slower. The state machine
+// reproduces the exact op sequence of litmusProg + TC.Critical +
+// locks.AcquireTTS/ReleaseTTS: same ops, same fields, same retry/restart
+// decisions, so simulated behaviour is identical to the coroutine path op
+// for op.
 
-// opSource feeds a CPU its operation stream directly. next receives the
-// result of the previously issued operation (the zero result on the first
-// call) and returns the next operation, or ok=false when the thread is done.
+// opSource feeds a CPU its operation stream by direct call (a coroutine TC
+// or a scripted litmusSM). next receives the result of the previously issued
+// operation (the zero result on the first call) and returns the next
+// operation, or ok=false when the thread is done.
 type opSource interface {
 	next(prev result) (op, bool)
 }
@@ -38,7 +40,7 @@ const (
 
 // litmusSM drives one litmus thread (a LitmusThread) as a scripted op
 // stream. Restarted elided bodies rewrite their own load slots, so committed
-// values win — the same property the goroutine harness relies on.
+// values win — the same property the coroutine harness relies on.
 type litmusSM struct {
 	th   LitmusThread
 	lock *Lock

@@ -30,9 +30,9 @@ func litmusCases(a, b memsys.Addr) [][]LitmusThread {
 	}
 }
 
-// runLitmusGoroutine is RunLitmus on goroutine threads (the path scripted
-// execution replaced), kept callable for equivalence testing.
-func runLitmusGoroutine(m *Machine, lock *Lock, threads []LitmusThread) ([][]uint64, error) {
+// runLitmusThreads is RunLitmus on coroutine threads (the path workload
+// threads take), kept callable for equivalence testing.
+func runLitmusThreads(m *Machine, lock *Lock, threads []LitmusThread) ([][]uint64, error) {
 	loads := make([][]uint64, len(threads))
 	progs := make([]func(*TC), len(threads))
 	for i, th := range threads {
@@ -52,8 +52,9 @@ func runLitmusGoroutine(m *Machine, lock *Lock, threads []LitmusThread) ([][]uin
 }
 
 // TestScriptedLitmusMatchesGoroutine pins the scripted state machine to the
-// goroutine thread runtime it replaced: identical outcomes, identical cycle
-// counts, identical event counts, for every scheme and several seeds.
+// thread runtime (coroutines now; the name predates them): identical
+// outcomes, identical cycle counts, identical event counts, for every scheme
+// and several seeds.
 func TestScriptedLitmusMatchesGoroutine(t *testing.T) {
 	for _, scheme := range []Scheme{Base, SLE, TLR} {
 		for _, seed := range []int64{1, 2, 42} {
@@ -74,23 +75,23 @@ func TestScriptedLitmusMatchesGoroutine(t *testing.T) {
 					t.Fatal("allocator not deterministic across machines")
 				}
 				scripted, errS := ms.RunLitmus(ls, litmusCases(as, bs)[ci])
-				goroutine, errG := runLitmusGoroutine(mg, lg, litmusCases(ag, bg)[ci])
+				threaded, errG := runLitmusThreads(mg, lg, litmusCases(ag, bg)[ci])
 				if (errS == nil) != (errG == nil) {
-					t.Fatalf("%v seed %d case %d: scripted err %v, goroutine err %v",
+					t.Fatalf("%v seed %d case %d: scripted err %v, coroutine err %v",
 						scheme, seed, ci, errS, errG)
 				}
 				outS := ms.LitmusOutcome(scripted, []memsys.Addr{as, bs})
-				outG := mg.LitmusOutcome(goroutine, []memsys.Addr{ag, bg})
+				outG := mg.LitmusOutcome(threaded, []memsys.Addr{ag, bg})
 				if outS != outG {
-					t.Errorf("%v seed %d case %d: scripted outcome %q != goroutine %q",
+					t.Errorf("%v seed %d case %d: scripted outcome %q != coroutine %q",
 						scheme, seed, ci, outS, outG)
 				}
 				if ms.Cycles() != mg.Cycles() {
-					t.Errorf("%v seed %d case %d: scripted cycles %d != goroutine %d",
+					t.Errorf("%v seed %d case %d: scripted cycles %d != coroutine %d",
 						scheme, seed, ci, ms.Cycles(), mg.Cycles())
 				}
 				if ms.K.Fired() != mg.K.Fired() {
-					t.Errorf("%v seed %d case %d: scripted events %d != goroutine %d",
+					t.Errorf("%v seed %d case %d: scripted events %d != coroutine %d",
 						scheme, seed, ci, ms.K.Fired(), mg.K.Fired())
 				}
 			}

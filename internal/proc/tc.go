@@ -39,7 +39,7 @@ type op struct {
 	// zero identifies the restart point that may acknowledge an abort.
 	frames int
 	// lead is a folded pure-compute span (cycles) the thread ran before this
-	// operation: Compute spans don't cross the channel themselves, they ride
+	// operation: Compute spans don't cross to the CPU themselves, they ride
 	// on the next real operation and the CPU replays them as the compute op
 	// they stand for.
 	lead uint64
@@ -67,10 +67,6 @@ type result struct {
 	ok      bool
 	aborted bool
 	mode    CritMode
-	// at is the kernel time the op completed, stamped CPU-side before the
-	// reply is sent: the thread goroutine runs concurrently with the kernel
-	// loop between ops, so it must never read the live clock itself.
-	at uint64
 }
 
 // abortSignal unwinds the thread to the restart point of the outermost
@@ -78,46 +74,57 @@ type result struct {
 // checkpoint recovery.
 type abortSignal struct{}
 
+// threadStop unwinds a suspended thread whose run was abandoned (a failed
+// run stops its threads, see Machine.fail); the coroutine body recovers it.
+type threadStop struct{}
+
 // TC is the thread context: the only handle workload code uses to touch the
-// simulated machine. All methods must be called from the thread's own
-// goroutine.
+// simulated machine. A TC is a coroutine (coro.go): the thread body runs
+// only inside its CPU's call to next, so thread code and the kernel loop
+// never run at the same time. All methods must be called from thread code.
 type TC struct {
 	cpu        *CPU
-	ops        chan op
-	res        chan result
 	specFrames int
 	rng        *rand.Rand
 
 	// pendingCompute accumulates the latest Compute span until the next
-	// operation carries it to the CPU (as op.lead), saving the two goroutine
-	// context switches a dedicated compute op would cost.
+	// operation carries it to the CPU (as op.lead), saving the round trip a
+	// dedicated compute op would cost.
 	pendingCompute uint64
-	// lastAt is the completion time of the thread's most recent op, copied
-	// from the reply. It is the thread's only view of the clock: the kernel
-	// loop keeps running while the thread goroutine executes, so reading
-	// Kernel.Now directly from thread code would race.
-	lastAt uint64
+
+	// Coroutine plumbing: pull resumes the thread until it yields its next
+	// op (ok=false once the body returns), stop unwinds a suspended thread,
+	// yield is the thread side of pull, res holds the reply to the op the
+	// thread last yielded, and stopping marks the unwind stop started.
+	pull     func() (op, bool)
+	stop     func()
+	yield    func(op) bool
+	res      result
+	stopping bool
 }
 
-var _ locks.Ops = (*TC)(nil)
+var (
+	_ locks.Ops = (*TC)(nil)
+	_ opSource  = (*TC)(nil)
+)
 
-func newTC(cpu *CPU) *TC {
-	return &TC{
-		cpu: cpu,
-		ops: make(chan op),
-		res: make(chan result),
-	}
+// next resumes the thread with the reply to its previous op and returns the
+// op it yields next (the opSource a CPU drives).
+func (tc *TC) next(prev result) (op, bool) {
+	tc.res = prev
+	return tc.pull()
 }
 
-// do issues one operation and blocks the thread until the CPU completes it.
-// Any pending compute span rides along as the operation's lead.
+// do issues one operation and suspends the thread until the CPU completes
+// it. Any pending compute span rides along as the operation's lead.
 func (tc *TC) do(o op) result {
 	o.lead = tc.pendingCompute
 	tc.pendingCompute = 0
-	tc.ops <- o
-	r := <-tc.res
-	tc.lastAt = r.at
-	return r
+	if !tc.yield(o) {
+		tc.stopping = true
+		panic(threadStop{})
+	}
+	return tc.res
 }
 
 // mem issues a memory operation, unwinding to the transaction restart point
@@ -135,12 +142,21 @@ func (tc *TC) CPUID() int { return tc.cpu.id }
 
 // Rand returns this thread's deterministic random stream (for workload
 // randomisation such as the paper's post-release delays, §5.1). The stream
-// is created on first use: seeding a math/rand source costs microseconds,
+// is seeded on first use: seeding a math/rand source costs microseconds,
 // which dominates machine construction for workloads — litmus programs in
-// particular — that never draw from it.
+// particular — that never draw from it. The CPU keeps one source across
+// runs and re-seeds it, which yields the same stream as a fresh source
+// without allocating one per thread.
 func (tc *TC) Rand() *rand.Rand {
 	if tc.rng == nil {
-		tc.rng = rand.New(rand.NewSource(tc.cpu.m.cfg.Seed*1000003 + int64(tc.cpu.id)))
+		cpu := tc.cpu
+		seed := cpu.m.cfg.Seed*1000003 + int64(cpu.id)
+		if cpu.rng == nil {
+			cpu.rng = rand.New(rand.NewSource(seed))
+		} else {
+			cpu.rng.Seed(seed)
+		}
+		tc.rng = cpu.rng
 	}
 	return tc.rng
 }
@@ -188,14 +204,11 @@ func (tc *TC) SpinUntil(a memsys.Addr, pred func(uint64) bool) uint64 {
 	return tc.mem(op{kind: opSpin, addr: a, pred: pred})
 }
 
-// Now returns the thread's current simulated cycle: the completion time of
-// its most recent operation plus any pending batched compute span. The
-// thread never reads the live kernel clock — the kernel loop runs
-// concurrently with thread goroutines between ops, so the thread's view of
-// time advances only at op boundaries (before the first op it is the run's
-// start, cycle 0 plus any start jitter absorbed by the first fetch).
+// Now returns the thread's current simulated cycle: the kernel clock (the
+// completion time of the op the thread is resuming from, since the thread
+// only runs inside that completion) plus any pending batched compute span.
 func (tc *TC) Now() uint64 {
-	return tc.lastAt + tc.pendingCompute
+	return uint64(tc.cpu.m.K.Now()) + tc.pendingCompute
 }
 
 // WaitUntil advances the thread's local time to at least cycle `at`,
@@ -209,9 +222,9 @@ func (tc *TC) WaitUntil(at uint64) {
 }
 
 // Compute models n cycles of local computation. The span is batched: it is
-// carried to the CPU by the next real operation instead of crossing the
-// thread channel itself. Back-to-back spans flush the previous one as an
-// explicit compute op, preserving the unbatched machine's exact timing.
+// carried to the CPU by the next real operation instead of being handed over
+// on its own. Back-to-back spans flush the previous one as an explicit
+// compute op, preserving the unbatched machine's exact timing.
 func (tc *TC) Compute(n uint64) {
 	if n == 0 {
 		return
