@@ -449,13 +449,13 @@ func (b *Bus) grant() {
 	}
 	// Requests are globally ordered only at grant time, so the arbiter may
 	// legally pick any queued request; injection exercises non-FIFO orders.
-	t := b.queue[0]
-	if i := b.faults.PickGrant(len(b.queue)); i == 0 {
-		b.queue = b.queue[1:]
-	} else {
-		t = b.queue[i]
-		b.queue = append(b.queue[:i], b.queue[i+1:]...)
-	}
+	// The pick is removed by shifting its successors down, so the queue's
+	// backing array stays put and Issue's append reuses it.
+	i := b.faults.PickGrant(len(b.queue))
+	t := b.queue[i]
+	n := i + copy(b.queue[i:], b.queue[i+1:])
+	b.queue[n] = nil
+	b.queue = b.queue[:n]
 	b.outstanding++
 	t.Ordered = b.k.Now()
 	b.stats.ArbStalls += uint64(t.Ordered - t.issued)

@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"strings"
 	"testing"
 
 	"tlrsim/internal/bus"
@@ -33,7 +34,7 @@ func load(t *testing.T, k *sim.Kernel, c *Controller, a memsys.Addr) uint64 {
 	t.Helper()
 	var v uint64
 	fired := false
-	c.Load(a, false, func(val uint64, ok bool) { v, fired = val, true })
+	c.Load(a, false, cb(func(val uint64, ok bool) { v, fired = val, true }))
 	if !k.RunUntil(func() bool { return fired }) {
 		t.Fatalf("P%d load %s never completed", c.ID(), a)
 	}
@@ -44,7 +45,7 @@ func load(t *testing.T, k *sim.Kernel, c *Controller, a memsys.Addr) uint64 {
 func store(t *testing.T, k *sim.Kernel, c *Controller, a memsys.Addr, v uint64) {
 	t.Helper()
 	fired, okv := false, false
-	c.Store(a, v, func(_ uint64, ok bool) { fired, okv = true, ok })
+	c.Store(a, v, cb(func(_ uint64, ok bool) { fired, okv = true, ok }))
 	if !k.RunUntil(func() bool { return fired }) {
 		t.Fatalf("P%d store %s never completed", c.ID(), a)
 	}
@@ -56,7 +57,7 @@ func store(t *testing.T, k *sim.Kernel, c *Controller, a memsys.Addr, v uint64) 
 func commit(t *testing.T, k *sim.Kernel, c *Controller) bool {
 	t.Helper()
 	fired, okv := false, false
-	c.TryCommit(func(ok bool) { fired, okv = true, ok })
+	c.TryCommit(commitCb(func(ok bool) { fired, okv = true, ok }))
 	k.RunUntil(func() bool { return fired })
 	return fired && okv
 }
@@ -167,14 +168,14 @@ func TestLLSCSuccess(t *testing.T) {
 	k, s := rig(2, core.DefaultPolicy())
 	var llv uint64
 	fired := false
-	s.Ctrls[0].LL(0x5000, func(v uint64, ok bool) { llv, fired = v, true })
+	s.Ctrls[0].LL(0x5000, cb(func(v uint64, ok bool) { llv, fired = v, true }))
 	k.RunUntil(func() bool { return fired })
 	if llv != 0 {
 		t.Fatalf("LL = %d", llv)
 	}
 	scOK := uint64(99)
 	fired = false
-	s.Ctrls[0].SC(0x5000, 1, func(v uint64, ok bool) { scOK, fired = v, true })
+	s.Ctrls[0].SC(0x5000, 1, cb(func(v uint64, ok bool) { scOK, fired = v, true }))
 	k.RunUntil(func() bool { return fired })
 	if scOK != 1 {
 		t.Fatal("SC should succeed with intact link")
@@ -187,13 +188,13 @@ func TestLLSCSuccess(t *testing.T) {
 func TestLLSCFailsAfterInvalidation(t *testing.T) {
 	k, s := rig(2, core.DefaultPolicy())
 	fired := false
-	s.Ctrls[0].LL(0x5000, func(uint64, bool) { fired = true })
+	s.Ctrls[0].LL(0x5000, cb(func(uint64, bool) { fired = true }))
 	k.RunUntil(func() bool { return fired })
 	// P1 steals the line before P0's SC.
 	store(t, k, s.Ctrls[1], 0x5000, 77)
 	var res uint64 = 99
 	fired = false
-	s.Ctrls[0].SC(0x5000, 1, func(v uint64, ok bool) { res, fired = v, true })
+	s.Ctrls[0].SC(0x5000, 1, cb(func(v uint64, ok bool) { res, fired = v, true }))
 	k.RunUntil(func() bool { return fired })
 	if res != 0 {
 		t.Fatal("SC must fail after external invalidation")
@@ -208,7 +209,7 @@ func TestSwapAtomic(t *testing.T) {
 	s.Mem.WriteWord(0x6000, 10)
 	var old uint64
 	fired := false
-	s.Ctrls[0].Swap(0x6000, 20, func(v uint64, ok bool) { old, fired = v, true })
+	s.Ctrls[0].Swap(0x6000, 20, cb(func(v uint64, ok bool) { old, fired = v, true }))
 	k.RunUntil(func() bool { return fired })
 	if old != 10 {
 		t.Fatalf("swap old = %d, want 10", old)
@@ -223,7 +224,7 @@ func TestCASSemantics(t *testing.T) {
 	s.Mem.WriteWord(0x6000, 5)
 	var seen uint64
 	fired := false
-	s.Ctrls[0].CAS(0x6000, 4, 9, func(v uint64, ok bool) { seen, fired = v, true })
+	s.Ctrls[0].CAS(0x6000, 4, 9, cb(func(v uint64, ok bool) { seen, fired = v, true }))
 	k.RunUntil(func() bool { return fired })
 	if seen != 5 {
 		t.Fatalf("CAS observed %d, want 5", seen)
@@ -232,7 +233,7 @@ func TestCASSemantics(t *testing.T) {
 		t.Fatal("failed CAS must not write")
 	}
 	fired = false
-	s.Ctrls[0].CAS(0x6000, 5, 9, func(v uint64, ok bool) { fired = true })
+	s.Ctrls[0].CAS(0x6000, 5, 9, cb(func(v uint64, ok bool) { fired = true }))
 	k.RunUntil(func() bool { return fired })
 	if v := load(t, k, s.Ctrls[0], 0x6000); v != 9 {
 		t.Fatal("successful CAS must write")
@@ -243,7 +244,7 @@ func TestFetchAdd(t *testing.T) {
 	k, s := rig(2, core.DefaultPolicy())
 	for i := 0; i < 5; i++ {
 		fired := false
-		s.Ctrls[i%2].FetchAdd(0x7000, 3, func(uint64, bool) { fired = true })
+		s.Ctrls[i%2].FetchAdd(0x7000, 3, cb(func(uint64, bool) { fired = true }))
 		k.RunUntil(func() bool { return fired })
 	}
 	if v := load(t, k, s.Ctrls[0], 0x7000); v != 15 {
@@ -282,7 +283,7 @@ func TestSpinSubscriberWakesOnInvalidation(t *testing.T) {
 	k, s := rig(2, core.DefaultPolicy())
 	load(t, k, s.Ctrls[0], 0x8000) // cache it
 	woken := false
-	s.Ctrls[0].SubscribeLine(0x8000, func() { woken = true })
+	s.Ctrls[0].SubscribeLine(0x8000, notifyCb(func() { woken = true }))
 	store(t, k, s.Ctrls[1], 0x8000, 1)
 	if !woken {
 		t.Fatal("subscriber not notified on invalidation")
@@ -295,7 +296,7 @@ func TestDeterministicRuns(t *testing.T) {
 		for i, c := range s.Ctrls {
 			a := memsys.Addr(0x9000)
 			fired := false
-			c.FetchAdd(a+memsys.Addr(i*8), uint64(i), func(uint64, bool) { fired = true })
+			c.FetchAdd(a+memsys.Addr(i*8), uint64(i), cb(func(uint64, bool) { fired = true }))
 			k.RunUntil(func() bool { return fired })
 		}
 		k.RunUntil(func() bool { return s.Quiescent() })
@@ -332,12 +333,12 @@ func TestWritebackRaceSupply(t *testing.T) {
 	// P0 dirties line 0, then evicts it by filling its set.
 	store(t, k, p0, 0x000, 111)
 	fired := false
-	p0.Store(0x100, 1, func(uint64, bool) {}) // same set (2 sets, stride 128)
-	p0.Store(0x200, 2, func(uint64, bool) { fired = true })
+	p0.Store(0x100, 1, cb(func(uint64, bool) {})) // same set (2 sets, stride 128)
+	p0.Store(0x200, 2, cb(func(uint64, bool) { fired = true }))
 	// While the write-back may still be in flight, P1 takes the line
 	// exclusively and writes a NEWER value.
 	var done bool
-	p1.Store(0x000, 222, func(uint64, bool) { done = true })
+	p1.Store(0x000, 222, cb(func(uint64, bool) { done = true }))
 	k.RunUntil(func() bool { return fired && done && s.Quiescent() })
 
 	if v := s.ArchWord(0x000); v != 222 {
@@ -409,7 +410,7 @@ func TestStoreBufferHidesStoreLatency(t *testing.T) {
 	k, s := sbRig(1, 8)
 	p0 := s.Ctrls[0]
 	fired := false
-	p0.Store(0x1000, 7, func(uint64, bool) { fired = true })
+	p0.Store(0x1000, 7, cb(func(uint64, bool) { fired = true }))
 	if !fired {
 		t.Fatal("buffered store should complete immediately")
 	}
@@ -426,10 +427,10 @@ func TestStoreBufferHidesStoreLatency(t *testing.T) {
 func TestStoreBufferForwarding(t *testing.T) {
 	k, s := sbRig(1, 8)
 	p0 := s.Ctrls[0]
-	p0.Store(0x1000, 7, func(uint64, bool) {})
+	p0.Store(0x1000, 7, cb(func(uint64, bool) {}))
 	var got uint64
 	fired := false
-	p0.Load(0x1000, false, func(v uint64, ok bool) { got, fired = v, true })
+	p0.Load(0x1000, false, cb(func(v uint64, ok bool) { got, fired = v, true }))
 	if !fired || got != 7 {
 		t.Fatalf("forwarded load = %d fired=%v, want 7 immediately", got, fired)
 	}
@@ -441,21 +442,21 @@ func TestStoreBufferForwarding(t *testing.T) {
 func TestStoreBufferDrainsInOrder(t *testing.T) {
 	k, s := sbRig(2, 8)
 	p0, p1 := s.Ctrls[0], s.Ctrls[1]
-	p0.Store(0x1000, 1, func(uint64, bool) {})
-	p0.Store(0x2000, 1, func(uint64, bool) {})
+	p0.Store(0x1000, 1, cb(func(uint64, bool) {}))
+	p0.Store(0x2000, 1, cb(func(uint64, bool) {}))
 	// Poll from P1: whenever the second store is visible, the first must be.
 	violated := false
 	var poll func()
 	poll = func() {
 		fired := false
-		p1.Load(0x2000, false, func(v2 uint64, ok bool) {
-			p1.Load(0x1000, false, func(v1 uint64, ok2 bool) {
+		p1.Load(0x2000, false, cb(func(v2 uint64, ok bool) {
+			p1.Load(0x1000, false, cb(func(v1 uint64, ok2 bool) {
 				if v2 == 1 && v1 != 1 {
 					violated = true
 				}
 				fired = true
-			})
-		})
+			}))
+		}))
 		_ = fired
 		if !s.Quiescent() {
 			k.After(7, poll)
@@ -476,10 +477,10 @@ func TestStoreBufferDrainsInOrder(t *testing.T) {
 func TestAtomicsFenceStoreBuffer(t *testing.T) {
 	k, s := sbRig(1, 8)
 	p0 := s.Ctrls[0]
-	p0.Store(0x1000, 5, func(uint64, bool) {})
+	p0.Store(0x1000, 5, cb(func(uint64, bool) {}))
 	var old uint64
 	fired := false
-	p0.FetchAdd(0x1000, 1, func(v uint64, ok bool) { old, fired = v, true })
+	p0.FetchAdd(0x1000, 1, cb(func(v uint64, ok bool) { old, fired = v, true }))
 	k.RunUntil(func() bool { return fired })
 	if old != 5 {
 		t.Fatalf("atomic observed %d, want the drained 5", old)
@@ -496,7 +497,7 @@ func TestStoreBufferFullStalls(t *testing.T) {
 	p0 := s.Ctrls[0]
 	completed := 0
 	for i := 0; i < 4; i++ {
-		p0.Store(memsys.Addr(0x1000+i*64), uint64(i), func(uint64, bool) { completed++ })
+		p0.Store(memsys.Addr(0x1000+i*64), uint64(i), cb(func(uint64, bool) { completed++ }))
 	}
 	if completed >= 4 {
 		t.Fatalf("all %d stores retired instantly into a 2-entry buffer", completed)
@@ -509,5 +510,53 @@ func TestStoreBufferFullStalls(t *testing.T) {
 		if v := s.ArchWord(memsys.Addr(0x1000 + i*64)); v != uint64(i) {
 			t.Fatalf("store %d lost", i)
 		}
+	}
+}
+
+// fnCont adapts a test callback to the controller's continuation API.
+type fnCont func(val uint64, ok bool)
+
+func (f fnCont) OpDone(_ uint8, _, val uint64, ok bool) { f(val, ok) }
+
+// cb binds f as an operation's continuation.
+func cb(f func(val uint64, ok bool)) Cont { return Cont{To: fnCont(f)} }
+
+// commitCb binds f as TryCommit's continuation.
+func commitCb(f func(ok bool)) Cont {
+	return cb(func(_ uint64, ok bool) { f(ok) })
+}
+
+// notifyCb binds f as a SubscribeLine continuation.
+func notifyCb(f func()) Cont {
+	return cb(func(uint64, bool) { f() })
+}
+
+// With several violating lines the error names the lowest one, whatever
+// order the caches hold them in; a clean check reuses its scratch list.
+func TestCheckCoherenceNamesLowestLine(t *testing.T) {
+	_, s := rig(2, core.DefaultPolicy())
+	var d memsys.LineData
+	// 0x2000 maps to set 0 and 0x1040 to set 1, so the scan meets the
+	// higher line first.
+	for _, line := range []memsys.Addr{0x3000, 0x2000, 0x1040} {
+		s.Ctrls[0].cache.Insert(line, cache.Shared, d)
+		s.Ctrls[1].cache.Insert(line, cache.Shared, d)
+	}
+	if err := s.CheckCoherence(); err != nil {
+		t.Fatalf("shared copies: %v", err)
+	}
+	if n := testing.AllocsPerRun(20, func() { _ = s.CheckCoherence() }); n != 0 {
+		t.Errorf("CheckCoherence allocates %.1f objects on a coherent system, want 0", n)
+	}
+	for _, line := range []memsys.Addr{0x2000, 0x1040} {
+		s.Ctrls[0].cache.Probe(line).State = cache.Modified
+		s.Ctrls[1].cache.Probe(line).State = cache.Modified
+	}
+	err := s.CheckCoherence()
+	if err == nil {
+		t.Fatal("two writable copies of two lines passed")
+	}
+	if want := "line " + memsys.Addr(0x1040).String() + " "; !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("error %q does not name the lowest violating line (want prefix %q)", err, want)
 	}
 }

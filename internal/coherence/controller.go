@@ -10,11 +10,6 @@ import (
 	"tlrsim/internal/stamp"
 )
 
-// OpDone is the completion callback for a CPU-issued memory operation.
-// ok=false means the operation was squashed because the transaction it
-// belonged to aborted; val is then meaningless.
-type OpDone func(val uint64, ok bool)
-
 // chainEntry is a request snooped while this controller was the pending
 // owner-of-record for the line: the per-MSHR tail of a coherence chain
 // (§3.1.1). At most one ownership-taking (GetX/Upgrade) entry can exist,
@@ -99,32 +94,105 @@ type mshr struct {
 	// (the non-speculative forward-progress escalation).
 	priority bool
 
-	waiters []waiter
+	waiters []req
 }
 
-// waiter is one operation blocked on an MSHR's fill. A load records its
-// address rather than wrapping done in a closure, so a load miss allocates
-// nothing here: the fill hands done the word this CPU then observes at addr,
-// checked by the functional checker as of transaction txSeq. Any other
-// waiter (load false) is a callback the fill runs as done(0, true).
-type waiter struct {
-	done  OpDone
-	load  bool
-	addr  memsys.Addr
+// Completer receives the completions of the CPU-issued memory operations
+// bound to it (see Cont).
+type Completer interface {
+	// OpDone finishes the operation bound as Cont{To, kind, tok}. ok=false
+	// means the operation was squashed because the transaction it belonged
+	// to aborted; val is then meaningless.
+	OpDone(kind uint8, tok, val uint64, ok bool)
+}
+
+// Cont is a CPU operation's continuation, bound by the caller before issue
+// in the sim.Callback style: a receiver plus plain values, never a closure,
+// so issuing and parking an operation allocates nothing. Kind selects the
+// caller's next step and Tok is the caller's sequence token, which lets it
+// drop a completion that arrives after the operation was squashed.
+type Cont struct {
+	To   Completer
+	Kind uint8
+	Tok  uint64
+}
+
+func (k Cont) done(val uint64, ok bool) { k.To.OpDone(k.Kind, k.Tok, val, ok) }
+
+// reqKind names the step a parked request runs when it resumes.
+type reqKind uint8
+
+const (
+	reqLoad    reqKind = iota // load miss: deliver the filled word
+	reqLL                     // load-linked: deliver the word, arm the link
+	reqSpecRMW                // speculative Swap/CAS/FetchAdd: load, then buffered store
+	reqStore                  // blocking store, completing with ret
+	reqDrain                  // the store buffer's head entry draining to the cache
+	reqSC                     // non-speculative store-conditional
+	reqRMW                    // non-speculative Swap/CAS/FetchAdd
+	reqFence                  // Fence: complete once the store buffer is empty
+)
+
+// rmwOp is the update an atomic read-modify-write applies.
+type rmwOp uint8
+
+const (
+	rmwSwap rmwOp = iota
+	rmwCAS
+	rmwAdd
+)
+
+// req is a CPU operation parked inside the controller — on a miss record's
+// waiter list, or on the store buffer's fence and space queues — as a typed
+// record: its kind, its operands and the caller's continuation. A fill runs
+// the post-fill step through wake; the store buffer re-runs the operation
+// through resumeParked.
+type req struct {
+	kind reqKind
+	rmw  rmwOp
+	addr memsys.Addr
+	// v is the value to store: the store's value, the Swap value, the
+	// FetchAdd delta or the CAS new value. cmp is the CAS expected value.
+	v, cmp uint64
+	// ret is what a store reports on completion: its own value, SC's 1, or
+	// the old value a speculative read-modify-write observed.
+	ret uint64
+	// txSeq is the transaction a load observes its word under (the
+	// functional checker's staleness test).
 	txSeq uint64
+	k     Cont
 }
 
-// wake runs w once its fill has landed (or is being forwarded).
-func (c *Controller) wake(w waiter) {
-	if !w.load {
-		w.done(0, true)
-		return
+// apply returns the value r's read-modify-write writes over old, and
+// whether it writes at all (a failed CAS does not).
+func (r *req) apply(old uint64) (uint64, bool) {
+	switch r.rmw {
+	case rmwSwap:
+		return r.v, true
+	case rmwCAS:
+		return r.v, old == r.cmp
+	default:
+		return old + r.v, true
 	}
-	v := c.localWord(w.addr)
-	if c.sys.Check != nil {
-		c.checkLoad(w.addr, v, w.txSeq)
+}
+
+// wake runs r's post-fill step once its fill has landed (or is being
+// forwarded).
+func (c *Controller) wake(r req) {
+	switch r.kind {
+	case reqLoad, reqLL, reqSpecRMW:
+		v := c.localWord(r.addr)
+		if c.sys.Check != nil {
+			c.checkLoad(r.addr, v, r.txSeq)
+		}
+		c.loaded(r, v)
+	case reqStore, reqDrain:
+		c.storeFilled(r)
+	case reqSC:
+		c.scFilled(r)
+	case reqRMW:
+		c.rmwFilled(r)
 	}
-	w.done(v, true)
 }
 
 // Stats counts controller-level activity.
@@ -190,12 +258,15 @@ type Controller struct {
 	sbLoadForward bool
 
 	// lineSubs are spin-wait subscribers notified when the line changes
-	// visibility (invalidation or fill).
-	lineSubs map[memsys.Addr][]func()
+	// visibility (invalidation or fill). spareSubs is a drained subscriber
+	// array kept for the next line notifyLine detaches.
+	lineSubs  map[memsys.Addr][]Cont
+	spareSubs []Cont
 
-	// commitWaiter is armed while the CPU sits at transaction end waiting
-	// for all write-buffer lines to reach a writable state (§2.2 step 4).
-	commitWaiter func()
+	// commitWaiter is armed (To non-nil) while the CPU sits at transaction
+	// end waiting for all write-buffer lines to reach a writable state
+	// (§2.2 step 4).
+	commitWaiter Cont
 
 	// fillForward passes values to waiters when a fill cannot be installed
 	// (a GetS that was invalidated while pending): the load was ordered
@@ -224,7 +295,7 @@ func newController(s *System, id int, eng *core.Engine) *Controller {
 		wbPending:    make(map[memsys.Addr]memsys.LineData),
 		wbSuperseded: make(map[memsys.Addr]bool),
 		specReads:    make(map[memsys.Addr]uint64),
-		lineSubs:     make(map[memsys.Addr][]func()),
+		lineSubs:     make(map[memsys.Addr][]Cont),
 		fillForward:  make(map[memsys.Addr]uint64),
 	}
 }
@@ -252,14 +323,46 @@ func (c *Controller) WriteBufferLines() int { return c.wb.LineCount() }
 // ---------------------------------------------------------------------------
 
 // Load performs a load of the word at a. wantExcl requests the line in an
-// exclusive state up front (RMW-predictor collapse, §3.1.2). done fires when
-// the value is available (possibly immediately, in the current event).
-func (c *Controller) Load(a memsys.Addr, wantExcl bool, done OpDone) {
-	if v, ok := c.LoadHit(a, wantExcl); ok {
-		done(v, true)
+// exclusive state up front (RMW-predictor collapse, §3.1.2). k completes
+// with the value once it is available (possibly immediately, in the current
+// event).
+func (c *Controller) Load(a memsys.Addr, wantExcl bool, k Cont) {
+	c.load(req{kind: reqLoad, addr: a, k: k}, wantExcl)
+}
+
+// load runs a load-kind request: on a hit its next step runs now, on a miss
+// when the fill lands.
+func (c *Controller) load(r req, wantExcl bool) {
+	if v, ok := c.LoadHit(r.addr, wantExcl); ok {
+		c.loaded(r, v)
 		return
 	}
-	c.LoadMiss(a, wantExcl, done)
+	c.loadMiss(r, wantExcl)
+}
+
+// loaded runs a load-kind request's step after its word v arrived.
+func (c *Controller) loaded(r req, v uint64) {
+	switch r.kind {
+	case reqLL:
+		// The link only arms if the line actually installed: a
+		// forward-only fill (our read was ordered before a writer that has
+		// since invalidated the line) must leave it broken, or the
+		// subsequent SC could succeed on a stale observation and break
+		// mutual exclusion.
+		if c.cache.Probe(r.addr.Line()) != nil {
+			c.linkLine = r.addr.Line()
+			c.linkValid = true
+		} else {
+			c.linkValid = false
+		}
+	case reqSpecRMW:
+		nv, write := r.apply(v)
+		if write {
+			c.store(req{kind: reqStore, addr: r.addr, v: nv, ret: v, k: r.k})
+			return
+		}
+	}
+	r.k.done(v, true)
 }
 
 // LoadHit services a load synchronously when no kernel round-trip is needed:
@@ -314,14 +417,19 @@ func (c *Controller) LoadHit(a memsys.Addr, wantExcl bool) (uint64, bool) {
 // LoadMiss issues the asynchronous miss path for a load that LoadHit
 // declined. Callers must have called LoadHit (unsuccessfully) in the same
 // event.
-func (c *Controller) LoadMiss(a memsys.Addr, wantExcl bool, done OpDone) {
+func (c *Controller) LoadMiss(a memsys.Addr, wantExcl bool, k Cont) {
+	c.loadMiss(req{kind: reqLoad, addr: a, k: k}, wantExcl)
+}
+
+func (c *Controller) loadMiss(r req, wantExcl bool) {
 	c.stats.Loads++
 	c.stats.Misses++
 	spec := c.eng.Speculating()
-	line := a.Line()
+	line := r.addr.Line()
 	excl := wantExcl || (spec && c.eng.WantExclusiveRead(line))
 	m := c.ensureMSHR(line, excl, spec, false)
-	m.waiters = append(m.waiters, waiter{done: done, load: true, addr: a, txSeq: c.eng.TxSeq()})
+	r.txSeq = c.eng.TxSeq()
+	m.waiters = append(m.waiters, r)
 }
 
 // checkLoad feeds a completed load to the functional checker: speculative
@@ -430,60 +538,68 @@ func (c *Controller) StoreFast(a memsys.Addr, v uint64) StoreOutcome {
 // buffer and return immediately (the exclusive request proceeds in the
 // background; commit waits for it). Non-speculative stores block until the
 // line is writable.
-func (c *Controller) Store(a memsys.Addr, v uint64, done OpDone) {
-	switch c.StoreFast(a, v) {
+func (c *Controller) Store(a memsys.Addr, v uint64, k Cont) {
+	c.store(req{kind: reqStore, addr: a, v: v, ret: v, k: k})
+}
+
+func (c *Controller) store(r req) {
+	switch c.StoreFast(r.addr, r.v) {
 	case StoreDone:
-		done(v, true)
+		r.k.done(r.ret, true)
 		return
 	case StoreAborted:
-		done(0, false)
+		r.k.done(r.ret, false)
 		return
 	}
 	c.stats.Stores++
 	// Non-speculative path: through the TSO store buffer when enabled.
 	if c.sb != nil {
 		// Buffer full: the store (and the processor) stalls for space.
-		c.sb.whenSpace(func() { c.sbStore(a, v, done) })
+		c.sb.onSpace.add(r)
 		return
 	}
-	c.storeExec(a, v, done)
+	c.storeExec(r)
 }
 
 // storeExec performs a non-speculative store against the cache, blocking
 // until the line is writable (the drain path of the store buffer, or the
 // direct path when no buffer is configured).
-func (c *Controller) storeExec(a memsys.Addr, v uint64, done OpDone) {
-	line := a.Line()
+func (c *Controller) storeExec(r req) {
+	line := r.addr.Line()
 	if l := c.cache.Probe(line); l != nil && l.State.Writable() {
-		c.cache.Touch(l)
-		l.Data[a.WordIndex()] = v
-		l.State = cache.Modified
-		c.checkStore(a, v)
-		c.notifyLine(line)
-		done(v, true)
+		c.writeStore(l, r)
 		return
 	}
 	c.stats.Misses++
 	m := c.ensureWritable(line, false, false)
-	m.waiters = append(m.waiters, waiter{done: func(_ uint64, ok bool) {
-		if !ok {
-			done(0, false)
-			return
-		}
-		l := c.cache.Probe(line)
-		if l == nil || !l.State.Writable() {
-			// Lost the line between fill and this waiter (stolen by a
-			// chained GetX). Retry the store.
-			c.storeExec(a, v, done)
-			return
-		}
-		c.cache.Touch(l)
-		l.Data[a.WordIndex()] = v
-		l.State = cache.Modified
-		c.checkStore(a, v)
-		c.notifyLine(line)
-		done(v, true)
-	}})
+	m.waiters = append(m.waiters, r)
+}
+
+// storeFilled is a blocking store's post-fill step.
+func (c *Controller) storeFilled(r req) {
+	l := c.cache.Probe(r.addr.Line())
+	if l == nil || !l.State.Writable() {
+		// Lost the line between fill and this waiter (stolen by a chained
+		// GetX). Retry the store.
+		c.storeExec(r)
+		return
+	}
+	c.writeStore(l, r)
+}
+
+// writeStore applies a blocking store to its writable line and completes
+// it.
+func (c *Controller) writeStore(l *cache.Line, r req) {
+	c.cache.Touch(l)
+	l.Data[r.addr.WordIndex()] = r.v
+	l.State = cache.Modified
+	c.checkStore(r.addr, r.v)
+	c.notifyLine(r.addr.Line())
+	if r.kind == reqDrain {
+		c.sbDrained()
+		return
+	}
+	r.k.done(r.ret, true)
 }
 
 // checkStore feeds a completed plain store to the functional checker.
@@ -493,171 +609,131 @@ func (c *Controller) checkStore(a memsys.Addr, v uint64) {
 	}
 }
 
-// LL performs a load-linked: a load that arms the link register. The link
-// only arms if the line actually installed in the cache — a forward-only
-// fill (our read was ordered before a writer that has since invalidated the
-// line) must leave the link broken, or the subsequent SC could succeed on a
-// stale observation and break mutual exclusion.
-func (c *Controller) LL(a memsys.Addr, done OpDone) {
-	c.Load(a, false, func(v uint64, ok bool) {
-		if ok && c.cache.Probe(a.Line()) != nil {
-			c.linkLine = a.Line()
-			c.linkValid = true
-		} else {
-			c.linkValid = false
-		}
-		done(v, ok)
-	})
+// LL performs a load-linked: a load that arms the link register.
+func (c *Controller) LL(a memsys.Addr, k Cont) {
+	c.load(req{kind: reqLL, addr: a, k: k}, false)
 }
 
-// SC performs a store-conditional of v to a; done's val is 1 on success, 0
-// on failure. Inside a transaction SC behaves as a buffered store (an inner
+// SC performs a store-conditional of v to a; k's val is 1 on success, 0 on
+// failure. Inside a transaction SC behaves as a buffered store (an inner
 // lock treated as data, §4): atomicity is guaranteed by the transaction.
-func (c *Controller) SC(a memsys.Addr, v uint64, done OpDone) {
+func (c *Controller) SC(a memsys.Addr, v uint64, k Cont) {
 	if c.eng.Speculating() {
-		c.Store(a, v, func(_ uint64, ok bool) { done(1, ok) })
+		c.store(req{kind: reqStore, addr: a, v: v, ret: 1, k: k})
 		return
 	}
+	r := req{kind: reqSC, addr: a, v: v, k: k}
 	line := a.Line()
 	if c.sb != nil && !c.sb.empty() {
-		c.Fence(func() { c.SC(a, v, done) })
+		c.sb.onEmpty.add(r)
 		return
 	}
 	if !c.linkValid || c.linkLine != line {
-		done(0, true)
+		k.done(0, true)
 		return
 	}
 	if l := c.cache.Probe(line); l != nil && l.State.Writable() {
-		l.Data[a.WordIndex()] = v
-		l.State = cache.Modified
-		c.linkValid = false
-		c.checkStore(a, v)
-		c.notifyLine(line)
-		done(1, true)
+		c.writeSC(l, r)
 		return
 	}
 	// Need write permission; the link may break while we wait.
 	c.stats.Misses++
 	m := c.ensureWritable(line, false, false)
-	m.waiters = append(m.waiters, waiter{done: func(_ uint64, ok bool) {
-		if !ok {
-			done(0, false)
-			return
-		}
-		l := c.cache.Probe(line)
-		if !c.linkValid || c.linkLine != line || l == nil || !l.State.Writable() {
-			done(0, true) // SC failed
-			return
-		}
-		l.Data[a.WordIndex()] = v
-		l.State = cache.Modified
-		c.linkValid = false
-		c.checkStore(a, v)
-		c.notifyLine(line)
-		done(1, true)
-	}})
+	m.waiters = append(m.waiters, r)
+}
+
+// scFilled is a store-conditional's post-fill step.
+func (c *Controller) scFilled(r req) {
+	line := r.addr.Line()
+	l := c.cache.Probe(line)
+	if !c.linkValid || c.linkLine != line || l == nil || !l.State.Writable() {
+		r.k.done(0, true) // SC failed
+		return
+	}
+	c.writeSC(l, r)
+}
+
+// writeSC performs a successful store-conditional on its writable line.
+func (c *Controller) writeSC(l *cache.Line, r req) {
+	l.Data[r.addr.WordIndex()] = r.v
+	l.State = cache.Modified
+	c.linkValid = false
+	c.checkStore(r.addr, r.v)
+	c.notifyLine(r.addr.Line())
+	r.k.done(1, true)
 }
 
 // Swap atomically exchanges v with the word at a, returning the old value
 // (MCS enqueue primitive). Non-speculatively it holds the line in M across
 // the read-modify-write; speculatively it is a load + buffered store.
-func (c *Controller) Swap(a memsys.Addr, v uint64, done OpDone) {
-	if c.eng.Speculating() {
-		c.Load(a, true, func(old uint64, ok bool) {
-			if !ok {
-				done(0, false)
-				return
-			}
-			c.Store(a, v, func(_ uint64, ok2 bool) { done(old, ok2) })
-		})
-		return
-	}
-	c.rmwNonSpec(a, func(old uint64) (uint64, bool) { return v, true }, done)
+func (c *Controller) Swap(a memsys.Addr, v uint64, k Cont) {
+	c.atomic(req{rmw: rmwSwap, addr: a, v: v, k: k})
 }
 
 // CAS atomically compares the word at a with old and, if equal, stores new.
-// done's val is the observed value.
-func (c *Controller) CAS(a memsys.Addr, old, newv uint64, done OpDone) {
-	if c.eng.Speculating() {
-		c.Load(a, true, func(cur uint64, ok bool) {
-			if !ok {
-				done(0, false)
-				return
-			}
-			if cur != old {
-				done(cur, true)
-				return
-			}
-			c.Store(a, newv, func(_ uint64, ok2 bool) { done(cur, ok2) })
-		})
-		return
-	}
-	c.rmwNonSpec(a, func(cur uint64) (uint64, bool) { return newv, cur == old }, done)
+// k's val is the observed value.
+func (c *Controller) CAS(a memsys.Addr, old, newv uint64, k Cont) {
+	c.atomic(req{rmw: rmwCAS, addr: a, v: newv, cmp: old, k: k})
 }
 
 // FetchAdd atomically adds delta to the word at a, returning the old value.
-func (c *Controller) FetchAdd(a memsys.Addr, delta uint64, done OpDone) {
-	if c.eng.Speculating() {
-		c.Load(a, true, func(old uint64, ok bool) {
-			if !ok {
-				done(0, false)
-				return
-			}
-			c.Store(a, old+delta, func(_ uint64, ok2 bool) { done(old, ok2) })
-		})
-		return
-	}
-	c.rmwNonSpec(a, func(old uint64) (uint64, bool) { return old + delta, true }, done)
+func (c *Controller) FetchAdd(a memsys.Addr, delta uint64, k Cont) {
+	c.atomic(req{rmw: rmwAdd, addr: a, v: delta, k: k})
 }
 
-// rmwNonSpec obtains the line in a writable state and applies fn atomically.
-// fn returns the new value and whether to write it. Atomics are fences
-// under TSO: buffered stores drain first.
-func (c *Controller) rmwNonSpec(a memsys.Addr, fn func(old uint64) (uint64, bool), done OpDone) {
-	if c.sb != nil && !c.sb.empty() {
-		c.Fence(func() { c.rmwNonSpec(a, fn, done) })
+func (c *Controller) atomic(r req) {
+	if c.eng.Speculating() {
+		r.kind = reqSpecRMW
+		c.load(r, true)
 		return
 	}
-	line := a.Line()
+	r.kind = reqRMW
+	c.rmwNonSpec(r)
+}
+
+// rmwNonSpec obtains the line in a writable state and applies r's update
+// atomically. Atomics are fences under TSO: buffered stores drain first.
+func (c *Controller) rmwNonSpec(r req) {
+	if c.sb != nil && !c.sb.empty() {
+		c.sb.onEmpty.add(r)
+		return
+	}
+	line := r.addr.Line()
 	if l := c.cache.Probe(line); l != nil && l.State.Writable() {
 		c.cache.Touch(l)
-		old := l.Data[a.WordIndex()]
-		nv, write := fn(old)
-		if write {
-			l.Data[a.WordIndex()] = nv
-			l.State = cache.Modified
-		}
-		c.checkRMW(a, old, nv, write)
-		if write {
-			c.notifyLine(line)
-		}
-		done(old, true)
+		c.writeRMW(l, r)
 		return
 	}
 	c.stats.Misses++
 	m := c.ensureWritable(line, false, false)
-	m.waiters = append(m.waiters, waiter{done: func(_ uint64, ok bool) {
-		if !ok {
-			done(0, false)
-			return
-		}
-		l := c.cache.Probe(line)
-		if l == nil || !l.State.Writable() {
-			c.rmwNonSpec(a, fn, done) // line stolen; retry
-			return
-		}
-		old := l.Data[a.WordIndex()]
-		nv, write := fn(old)
-		if write {
-			l.Data[a.WordIndex()] = nv
-			l.State = cache.Modified
-		}
-		c.checkRMW(a, old, nv, write)
-		if write {
-			c.notifyLine(line)
-		}
-		done(old, true)
-	}})
+	m.waiters = append(m.waiters, r)
+}
+
+// rmwFilled is a non-speculative read-modify-write's post-fill step.
+func (c *Controller) rmwFilled(r req) {
+	l := c.cache.Probe(r.addr.Line())
+	if l == nil || !l.State.Writable() {
+		c.rmwNonSpec(r) // line stolen; retry
+		return
+	}
+	c.writeRMW(l, r)
+}
+
+// writeRMW applies r's update to its writable line and completes it with
+// the old value.
+func (c *Controller) writeRMW(l *cache.Line, r req) {
+	a := r.addr
+	old := l.Data[a.WordIndex()]
+	nv, write := r.apply(old)
+	if write {
+		l.Data[a.WordIndex()] = nv
+		l.State = cache.Modified
+	}
+	c.checkRMW(a, old, nv, write)
+	if write {
+		c.notifyLine(a.Line())
+	}
+	r.k.done(old, true)
 }
 
 // checkRMW feeds a completed atomic read-modify-write to the checker.
@@ -667,19 +743,12 @@ func (c *Controller) checkRMW(a memsys.Addr, old, nv uint64, wrote bool) {
 	}
 }
 
-// SpecRead marks the line containing a as transactionally read without
-// loading a value; used at transaction begin to put the elided lock word in
-// the read set so any writer to the lock aborts us (§2.2: the lock is kept
-// in shared state; any write triggers invalidations).
-func (c *Controller) SpecRead(a memsys.Addr, done OpDone) {
-	c.Load(a, false, done)
-}
-
-// SubscribeLine registers fn to run once when the visibility of line next
-// changes (invalidation, fill, or local write) — the spin-wait mechanism.
-func (c *Controller) SubscribeLine(line memsys.Addr, fn func()) {
+// SubscribeLine registers k to complete once when the visibility of line
+// next changes (invalidation, fill, or local write) — the spin-wait
+// mechanism.
+func (c *Controller) SubscribeLine(line memsys.Addr, k Cont) {
 	line = line.Line()
-	c.lineSubs[line] = append(c.lineSubs[line], fn)
+	c.lineSubs[line] = append(c.lineSubs[line], k)
 }
 
 func (c *Controller) notifyLine(line memsys.Addr) {
@@ -688,9 +757,17 @@ func (c *Controller) notifyLine(line memsys.Addr) {
 	if len(subs) == 0 {
 		return
 	}
-	delete(c.lineSubs, line)
-	for _, fn := range subs {
-		fn()
+	// The subscribers run from a detached list, so one that subscribes
+	// again waits for the line's next change. The line takes the spare
+	// array in its place and the detached one becomes the spare.
+	c.lineSubs[line] = c.spareSubs
+	c.spareSubs = nil
+	for _, k := range subs {
+		k.done(0, true)
+	}
+	clear(subs)
+	if c.spareSubs == nil {
+		c.spareSubs = subs[:0]
 	}
 }
 
@@ -844,29 +921,6 @@ func (c *Controller) otherSpecMissOutstanding(exclude memsys.Addr) bool {
 		}
 	}
 	return false
-}
-
-// DebugString reports the controller's blocking state for deadlock
-// diagnostics: outstanding MSHRs, deferred queue, spin subscriptions, and
-// write-buffer occupancy.
-func (c *Controller) DebugString() string {
-	s := fmt.Sprintf("P%d eng=%v aborted=%v deferred=%d wbLines=%d commitWaiter=%v",
-		c.id, c.eng.Mode(), c.eng.Aborted(), c.eng.DeferredLen(), c.wb.LineCount(), c.commitWaiter != nil)
-	for line, m := range c.mshrs {
-		s += fmt.Sprintf("\n  mshr %s kind=%v ordered=%v chain=%d handedOff=%v upstream=%d(%v) waiters=%d spec=%v conflictLost=%v probeLost=%v",
-			line, m.kind, m.ordered, len(m.chain), m.handedOff, m.upstream, m.hasUpstream, len(m.waiters), m.spec, m.conflictLost, m.probeLost)
-	}
-	for line, subs := range c.lineSubs {
-		st := "absent"
-		if l := c.cache.Probe(line); l != nil {
-			st = l.State.String()
-		}
-		s += fmt.Sprintf("\n  subs %s n=%d state=%s", line, len(subs), st)
-	}
-	for _, d := range c.eng.PeekDeferred() {
-		s += fmt.Sprintf("\n  deferred line=%s stamp=%v", d.Line, d.Stamp)
-	}
-	return s
 }
 
 func (c *Controller) mustProbe(line memsys.Addr) *cache.Line {

@@ -26,10 +26,11 @@ func (c *Controller) reset() {
 	clear(c.specReads)
 	c.drainForwarding = false
 	c.sbLoadForward = false
-	// Stale spin-wait subscribers and commit waiters are closures over a
-	// finished run's thread state; dropping them is required, not optional.
+	// Stale spin-wait subscribers and commit waiters are continuations into
+	// a finished run's thread state; dropping them is required, not
+	// optional.
 	clear(c.lineSubs)
-	c.commitWaiter = nil
+	c.commitWaiter = Cont{}
 	clear(c.fillForward)
 	c.stats = Stats{}
 }
@@ -58,17 +59,17 @@ func (c *Controller) adoptState(src *Controller) {
 	c.drainForwarding = false
 	c.sbLoadForward = false
 	clear(c.lineSubs)
-	c.commitWaiter = nil
+	c.commitWaiter = Cont{}
 	clear(c.fillForward)
 	c.stats = src.stats
 }
 
-// reset empties the store buffer and drops its callbacks.
+// reset empties the store buffer and drops its parked requests.
 func (sb *storeBuffer) reset() {
 	sb.entries = sb.entries[:0]
 	sb.draining = false
-	sb.onEmpty = nil
-	sb.onSpace = nil
+	sb.onEmpty.reset()
+	sb.onSpace.reset()
 }
 
 // reset forgets which lines have migrated into the L2 (first-touch latency

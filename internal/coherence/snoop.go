@@ -230,12 +230,15 @@ func (c *Controller) snoopOwn(t *bus.Txn, owner int, shared bool) {
 		if d, wbOK := c.wbPending[t.Line]; wbOK && owner == c.id {
 			// Our own just-evicted dirty data races our re-fetch: no one
 			// else can supply, so self-supply from the write-back buffer.
-			req, line := t.ID, t.Line
-			c.sys.K.After(1, func() {
-				c.Deliver(&bus.DataResp{Req: req, Line: line, Data: d, From: c.id})
-			})
+			c.sys.K.AfterCall(1, selfSupplyEvent, c, &bus.DataResp{Req: t.ID, Line: t.Line, Data: d, From: c.id}, 0)
 		}
 	}
+}
+
+// selfSupplyEvent delivers the data response arg (*bus.DataResp) a
+// controller supplies to itself from its write-back buffer.
+func selfSupplyEvent(recv, arg any, _ uint64) {
+	recv.(*Controller).Deliver(arg.(*bus.DataResp))
 }
 
 // nackedOwnRequest handles one of our requests being refused by the owner
@@ -733,21 +736,22 @@ func (c *Controller) handleEviction(ev *cache.Evicted) {
 // TryCommit attempts to commit the in-flight transaction (step 4 of
 // Figure 3). If some written line is not yet held in a writable state the
 // commit waits for the outstanding fills; done fires with ok=false if the
-// transaction aborts in the meantime (the CPU then restarts it).
-func (c *Controller) TryCommit(done func(ok bool)) {
+// transaction aborts in the meantime (the CPU then restarts it). k
+// completes with ok reporting whether the transaction committed.
+func (c *Controller) TryCommit(k Cont) {
 	if !c.eng.Speculating() {
 		panic("coherence: TryCommit outside speculation")
 	}
 	if c.eng.Aborted() {
-		done(false)
+		k.done(0, false)
 		return
 	}
 	if !c.commitReady() {
-		c.commitWaiter = func() { c.TryCommit(done) }
+		c.commitWaiter = k
 		return
 	}
 	c.doCommit()
-	done(true)
+	k.done(0, true)
 }
 
 func (c *Controller) commitReady() bool {
@@ -770,13 +774,13 @@ func (c *Controller) commitReady() bool {
 }
 
 func (c *Controller) checkCommit() {
-	if c.commitWaiter == nil {
+	if c.commitWaiter.To == nil {
 		return
 	}
 	if c.eng.Aborted() || c.commitReady() {
-		w := c.commitWaiter
-		c.commitWaiter = nil
-		w()
+		k := c.commitWaiter
+		c.commitWaiter = Cont{}
+		c.TryCommit(k)
 	}
 }
 
@@ -830,7 +834,7 @@ func (c *Controller) AbortTxn(reason core.Reason) {
 	for _, d := range deferred {
 		c.serveDeferred(d)
 	}
-	c.commitWaiter = nil
+	c.commitWaiter = Cont{}
 	if c.OnAbort != nil {
 		c.OnAbort(reason)
 	}

@@ -22,10 +22,40 @@ type storeBuffer struct {
 	entries  []sbEntry
 	max      int
 	draining bool
-	onEmpty  []func()
 
-	// full-stall support: stores arriving at a full buffer wait here.
-	onSpace []func()
+	// onEmpty holds the requests fenced behind the buffered stores
+	// (atomics and Fence); onSpace the stores that found the buffer full.
+	onEmpty, onSpace parked
+}
+
+// parked is a queue of requests resumed in passes: a request parked while a
+// pass runs waits for the next pass. Two backing arrays alternate between
+// the queue and the running pass, so steady-state passes allocate nothing.
+type parked struct {
+	q, spare []req
+}
+
+func (p *parked) add(r req) { p.q = append(p.q, r) }
+
+// take detaches the queued requests for a pass.
+func (p *parked) take() []req {
+	run := p.q
+	p.q, p.spare = p.spare[:0], nil
+	return run
+}
+
+// release hands a finished pass's array back for reuse.
+func (p *parked) release(run []req) {
+	clear(run)
+	if p.spare == nil {
+		p.spare = run[:0]
+	}
+}
+
+// reset drops every parked request, keeping the arrays.
+func (p *parked) reset() {
+	clear(p.q)
+	p.q = p.q[:0]
 }
 
 type sbEntry struct {
@@ -53,15 +83,6 @@ func (sb *storeBuffer) forward(a memsys.Addr) (uint64, bool) {
 // empty reports whether nothing is buffered.
 func (sb *storeBuffer) empty() bool { return len(sb.entries) == 0 }
 
-// whenEmpty runs fn once the buffer drains (immediately if already empty).
-func (sb *storeBuffer) whenEmpty(fn func()) {
-	if sb.empty() {
-		fn()
-		return
-	}
-	sb.onEmpty = append(sb.onEmpty, fn)
-}
-
 // push buffers a store; full=false means the caller must wait for space.
 func (sb *storeBuffer) push(a memsys.Addr, v uint64) bool {
 	if len(sb.entries) >= sb.max {
@@ -71,19 +92,15 @@ func (sb *storeBuffer) push(a memsys.Addr, v uint64) bool {
 	return true
 }
 
-// whenSpace runs fn once an entry drains.
-func (sb *storeBuffer) whenSpace(fn func()) { sb.onSpace = append(sb.onSpace, fn) }
-
-// sbStore is the CPU-facing non-speculative store entry point when the
-// store buffer is enabled.
-func (c *Controller) sbStore(a memsys.Addr, v uint64, done OpDone) {
-	if !c.sb.push(a, v) {
-		// Buffer full: the store (and the processor) stalls for space.
-		c.sb.whenSpace(func() { c.sbStore(a, v, done) })
+// sbStore retries a store that found the store buffer full.
+func (c *Controller) sbStore(r req) {
+	if !c.sb.push(r.addr, r.v) {
+		// Still full: the store (and the processor) keeps stalling.
+		c.sb.onSpace.add(r)
 		return
 	}
 	c.sbDrain()
-	done(v, true)
+	r.k.done(r.ret, true)
 }
 
 // sbDrain retires the head entry through the normal blocking store path.
@@ -93,34 +110,52 @@ func (c *Controller) sbDrain() {
 	}
 	c.sb.draining = true
 	head := c.sb.entries[0]
-	c.storeExec(head.addr, head.val, func(_ uint64, ok bool) {
-		c.sb.draining = false
-		c.sb.entries = c.sb.entries[1:]
-		if waiters := c.sb.onSpace; len(waiters) > 0 {
-			c.sb.onSpace = nil
-			for _, fn := range waiters {
-				fn()
-			}
-		}
-		if c.sb.empty() {
-			fns := c.sb.onEmpty
-			c.sb.onEmpty = nil
-			for _, fn := range fns {
-				fn()
-			}
-		}
-		c.sbDrain()
-	})
+	c.storeExec(req{kind: reqDrain, addr: head.addr, v: head.val})
 }
 
-// Fence completes fn after all buffered stores have drained (no-op without
-// a store buffer). Atomics and transaction boundaries use it.
-func (c *Controller) Fence(fn func()) {
-	if c.sb == nil {
-		fn()
+// sbDrained pops the drained head entry, resumes the requests waiting for
+// space (and, once the buffer is empty, the fenced ones), then drains the
+// next entry.
+func (c *Controller) sbDrained() {
+	sb := c.sb
+	sb.draining = false
+	n := copy(sb.entries, sb.entries[1:])
+	sb.entries = sb.entries[:n]
+	if len(sb.onSpace.q) > 0 {
+		c.resumeParked(&sb.onSpace)
+	}
+	if sb.empty() && len(sb.onEmpty.q) > 0 {
+		c.resumeParked(&sb.onEmpty)
+	}
+	c.sbDrain()
+}
+
+// resumeParked runs one pass over p's requests.
+func (c *Controller) resumeParked(p *parked) {
+	run := p.take()
+	for _, r := range run {
+		switch r.kind {
+		case reqFence:
+			r.k.done(0, true)
+		case reqSC:
+			c.SC(r.addr, r.v, r.k)
+		case reqRMW:
+			c.rmwNonSpec(r)
+		default: // reqStore
+			c.sbStore(r)
+		}
+	}
+	p.release(run)
+}
+
+// Fence completes k after all buffered stores have drained (at once
+// without a store buffer). Atomics and transaction boundaries use it.
+func (c *Controller) Fence(k Cont) {
+	if c.sb == nil || c.sb.empty() {
+		k.done(0, true)
 		return
 	}
-	c.sb.whenEmpty(fn)
+	c.sb.onEmpty.add(req{kind: reqFence, k: k})
 }
 
 // sbForward lets loads observe the processor's own buffered stores.

@@ -12,7 +12,9 @@
 package coherence
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"tlrsim/internal/bus"
 	"tlrsim/internal/cache"
@@ -67,6 +69,9 @@ type System struct {
 
 	cfg       Config
 	lockLines map[memsys.Addr]bool
+
+	// cohScratch is CheckCoherence's reusable copy list.
+	cohScratch []lineCopy
 }
 
 // SetFaults attaches (or with nil detaches) the fault injector on the
@@ -134,38 +139,64 @@ func (s *System) RegisterLock(a memsys.Addr) { s.lockLines[a.Line()] = true }
 // IsLockLine reports whether the line holds a registered lock.
 func (s *System) IsLockLine(a memsys.Addr) bool { return s.lockLines[a.Line()] }
 
+// lineCopy is one cache's valid copy of a line, as CheckCoherence
+// collects them.
+type lineCopy struct {
+	line memsys.Addr
+	cpu  int
+	st   cache.State
+}
+
 // CheckCoherence validates the global single-writer/multi-reader invariant
-// and owner uniqueness; tests call it at quiescent points.
+// and owner uniqueness; tests call it at quiescent points. When several
+// lines violate it, the error names the lowest one.
 func (s *System) CheckCoherence() error {
-	type holder struct {
-		cpu int
-		st  cache.State
-	}
-	byLine := map[memsys.Addr][]holder{}
+	cs := s.cohScratch[:0]
 	for _, c := range s.Ctrls {
 		c.cache.ForEachValid(func(l *cache.Line) {
-			byLine[l.Tag] = append(byLine[l.Tag], holder{c.id, l.State})
+			cs = append(cs, lineCopy{l.Tag, c.id, l.State})
 		})
 	}
-	for line, hs := range byLine {
-		writable, owners := 0, 0
-		for _, h := range hs {
-			if h.st.Writable() {
-				writable++
-			}
-			if h.st.IsOwner() {
-				owners++
-			}
+	s.cohScratch = cs
+	slices.SortFunc(cs, func(a, b lineCopy) int {
+		if a.line != b.line {
+			return cmp.Compare(a.line, b.line)
 		}
-		if writable > 1 {
-			return fmt.Errorf("line %s writable in %d caches: %v", line, writable, hs)
+		return cmp.Compare(a.cpu, b.cpu)
+	})
+	for i := 0; i < len(cs); {
+		j := i + 1
+		for j < len(cs) && cs[j].line == cs[i].line {
+			j++
 		}
-		if writable == 1 && len(hs) > 1 {
-			return fmt.Errorf("line %s writable alongside other copies: %v", line, hs)
+		if err := checkLineCopies(cs[i:j]); err != nil {
+			return err
 		}
-		if owners > 1 {
-			return fmt.Errorf("line %s has %d owners: %v", line, owners, hs)
+		i = j
+	}
+	return nil
+}
+
+// checkLineCopies checks the copies of one line.
+func checkLineCopies(g []lineCopy) error {
+	writable, owners := 0, 0
+	for _, h := range g {
+		if h.st.Writable() {
+			writable++
 		}
+		if h.st.IsOwner() {
+			owners++
+		}
+	}
+	line := g[0].line
+	if writable > 1 {
+		return fmt.Errorf("line %s writable in %d caches: %v", line, writable, g)
+	}
+	if writable == 1 && len(g) > 1 {
+		return fmt.Errorf("line %s writable alongside other copies: %v", line, g)
+	}
+	if owners > 1 {
+		return fmt.Errorf("line %s has %d owners: %v", line, owners, g)
 	}
 	return nil
 }

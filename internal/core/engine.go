@@ -251,6 +251,7 @@ type Engine struct {
 	abortReason Reason
 
 	deferred            []Deferred
+	spareDeferred       []Deferred // the other TakeDeferred array
 	conflictLines       map[memsys.Addr]bool
 	restartsThisAttempt int
 
@@ -532,10 +533,12 @@ func (e *Engine) ObserveConflict(in stamp.Stamp, line memsys.Addr) {
 // TakeDeferred removes and returns all buffered requests in arrival order.
 // Called at commit (step 4c of Figure 3: service waiters) and on abort
 // (losers must service earlier deferred requests in order to maintain
-// coherence ordering, §2.2 step 3).
+// coherence ordering, §2.2 step 3). The result stays valid until the next
+// TakeDeferred: the queue alternates between two backing arrays, so
+// deferring allocates nothing in steady state.
 func (e *Engine) TakeDeferred() []Deferred {
 	out := e.deferred
-	e.deferred = nil
+	e.deferred, e.spareDeferred = e.spareDeferred[:0], out
 	return out
 }
 

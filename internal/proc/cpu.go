@@ -1,7 +1,6 @@
 package proc
 
 import (
-	"fmt"
 	"math/rand"
 
 	"tlrsim/internal/coherence"
@@ -83,6 +82,10 @@ type CPU struct {
 	// the elided lock line's fetch (stall attribution: the instruction that
 	// stalls commit is charged, Fig. 11 accounting).
 	commitLockBound bool
+
+	// commitRetries is the in-flight TxEnd's restart count, read before
+	// TryCommit (ResetAttempt clears the engine's count).
+	commitRetries uint64
 
 	// stalledUntil models the thread being descheduled: no operation
 	// executes before this cycle (§4 stability experiments).
@@ -253,10 +256,7 @@ func (cpu *CPU) startOp(o op) {
 			cpu.finishOp(result{val: v})
 			return
 		}
-		seq := cpu.seq
-		cpu.ctrl.LoadMiss(o.addr, wantExcl, func(v uint64, ok bool) {
-			cpu.completeOp(seq, result{val: v, aborted: !ok})
-		})
+		cpu.ctrl.LoadMiss(o.addr, wantExcl, cpu.cont(contOp))
 	case opStore:
 		if cpu.useRMW() && cpu.eng.Depth() > 0 {
 			cpu.rmw.NoteStore(o.addr)
@@ -267,38 +267,20 @@ func (cpu *CPU) startOp(o op) {
 		case coherence.StoreAborted:
 			// onAbort already squashed the op.
 		default:
-			seq := cpu.seq
-			cpu.ctrl.Store(o.addr, o.val, func(_ uint64, ok bool) {
-				cpu.completeOp(seq, result{aborted: !ok})
-			})
+			cpu.ctrl.Store(o.addr, o.val, cpu.cont(contStore))
 		}
 	case opLL:
-		seq := cpu.seq
-		cpu.ctrl.LL(o.addr, func(v uint64, ok bool) {
-			cpu.completeOp(seq, result{val: v, aborted: !ok})
-		})
+		cpu.ctrl.LL(o.addr, cpu.cont(contOp))
 	case opSC:
-		seq := cpu.seq
-		cpu.ctrl.SC(o.addr, o.val, func(v uint64, ok bool) {
-			cpu.completeOp(seq, result{val: v, aborted: !ok})
-		})
+		cpu.ctrl.SC(o.addr, o.val, cpu.cont(contOp))
 	case opSwap:
-		seq := cpu.seq
-		cpu.ctrl.Swap(o.addr, o.val, func(v uint64, ok bool) {
-			cpu.completeOp(seq, result{val: v, aborted: !ok})
-		})
+		cpu.ctrl.Swap(o.addr, o.val, cpu.cont(contOp))
 	case opCAS:
-		seq := cpu.seq
-		cpu.ctrl.CAS(o.addr, o.old, o.val, func(v uint64, ok bool) {
-			cpu.completeOp(seq, result{val: v, aborted: !ok})
-		})
+		cpu.ctrl.CAS(o.addr, o.old, o.val, cpu.cont(contOp))
 	case opFetchAdd:
-		seq := cpu.seq
-		cpu.ctrl.FetchAdd(o.addr, o.val, func(v uint64, ok bool) {
-			cpu.completeOp(seq, result{val: v, aborted: !ok})
-		})
+		cpu.ctrl.FetchAdd(o.addr, o.val, cpu.cont(contOp))
 	case opSpin:
-		cpu.spin(o, cpu.seq)
+		cpu.ctrl.Load(o.addr, false, cpu.cont(contSpinLoad))
 	case opCompute:
 		cpu.m.K.AfterCall(o.n, computeDoneEvent, cpu, nil, cpu.seq)
 	case opTxBegin:
@@ -308,13 +290,9 @@ func (cpu *CPU) startOp(o op) {
 			cpu.critLock = o.lock
 			cpu.m.mx.SetCurrent(cpu.id, o.lock.prof)
 		}
-		seq := cpu.seq
-		complete := func(r result) { cpu.completeOp(seq, r) }
-		alive := func() bool { return cpu.seq == seq && cpu.opActive }
-		cpu.txBegin(o, complete, alive)
+		cpu.txBegin(o)
 	case opTxEnd:
-		seq := cpu.seq
-		cpu.txEnd(o, func(r result) { cpu.completeOp(seq, r) })
+		cpu.txEnd(o)
 	case opCSEnter:
 		cpu.finishOp(result{ok: true})
 	case opCSExit:
@@ -426,47 +404,103 @@ func (cpu *CPU) noteCritDone(l *Lock) {
 	cpu.m.mx.SetCurrent(cpu.id, nil)
 }
 
-// spin implements the test&test&set-style local spin: re-check only when
-// the line's visibility changes.
-func (cpu *CPU) spin(o op, seq uint64) {
-	alive := func() bool { return cpu.seq == seq && cpu.opActive }
-	var try func()
-	try = func() {
-		if !alive() {
-			return // the operation was already squashed by an abort
+// Continuation kinds: the step a completion from the memory system runs
+// (CPU.OpDone). Every continuation carries the token of the op it belongs
+// to — cpu.seq, or the transaction's TxSeq for contLockCheck — so a
+// completion that outlives its op is recognised and dropped.
+const (
+	contOp         uint8 = iota // complete the op with the value
+	contStore                   // complete a store (no value)
+	contSpinLoad                // a spin's poll read its word
+	contLockCheck               // the background lock-word read of an elided TxBegin
+	contElideLoad               // a waiting elision's poll read the lock word
+	contElideEnter              // the lock-word read that enters a waiting elision
+	contRecheck                 // the polled line changed: poll again after SpinRecheck
+	contFence                   // the store buffer drained ahead of TxBegin
+	contCommit                  // TryCommit finished
+)
+
+// cont binds the current op's continuation of the given kind.
+func (cpu *CPU) cont(kind uint8) coherence.Cont {
+	return coherence.Cont{To: cpu, Kind: kind, Tok: cpu.seq}
+}
+
+// alive reports whether op seq is still the op in flight (not completed,
+// not squashed by an abort).
+func (cpu *CPU) alive(seq uint64) bool { return cpu.seq == seq && cpu.opActive }
+
+// OpDone runs the continuation a memory-system completion was bound to
+// (coherence.Completer). The op it belongs to is cpu.curOp whenever
+// alive(tok) holds.
+func (cpu *CPU) OpDone(kind uint8, tok, v uint64, ok bool) {
+	switch kind {
+	case contOp:
+		cpu.completeOp(tok, result{val: v, aborted: !ok})
+	case contStore:
+		cpu.completeOp(tok, result{aborted: !ok})
+	case contSpinLoad:
+		cpu.spinLoaded(tok, v, ok)
+	case contLockCheck:
+		cpu.lockChecked(tok, v, ok)
+	case contElideLoad:
+		cpu.elideLoaded(tok, v, ok)
+	case contElideEnter:
+		cpu.elideEntered(tok, v, ok)
+	case contRecheck:
+		cpu.m.K.AfterCall(cpu.m.cfg.SpinRecheck, recheckEvent, cpu, nil, tok)
+	case contFence:
+		if cpu.alive(tok) {
+			cpu.txBeginDispatchFenced(tok)
 		}
-		cpu.ctrl.Load(o.addr, false, func(v uint64, ok bool) {
-			if !alive() {
-				return
-			}
-			if !ok {
-				cpu.completeOp(seq, result{aborted: true})
-				return
-			}
-			if o.pred(v) {
-				cpu.completeOp(seq, result{val: v})
-				return
-			}
-			cpu.ctrl.SubscribeLine(o.addr, func() {
-				cpu.m.K.After(cpu.m.cfg.SpinRecheck, try)
-			})
-		})
+	case contCommit:
+		cpu.committed(tok, ok)
 	}
-	try()
+}
+
+// spinLoaded implements the test&test&set-style local spin: it completes
+// the spin once the predicate holds, and otherwise re-checks only when the
+// line's visibility changes.
+func (cpu *CPU) spinLoaded(seq, v uint64, ok bool) {
+	if !cpu.alive(seq) {
+		return // the operation was already squashed by an abort
+	}
+	if !ok {
+		cpu.completeOp(seq, result{aborted: true})
+		return
+	}
+	if cpu.curOp.pred(v) {
+		cpu.completeOp(seq, result{val: v})
+		return
+	}
+	cpu.ctrl.SubscribeLine(cpu.curOp.addr, cpu.cont(contRecheck))
+}
+
+// recheckEvent polls again for the spin or waiting elision seq, unless an
+// abort squashed it meanwhile.
+func recheckEvent(recv, _ any, seq uint64) {
+	cpu := recv.(*CPU)
+	if !cpu.alive(seq) {
+		return
+	}
+	if o := &cpu.curOp; o.kind == opSpin {
+		cpu.ctrl.Load(o.addr, false, cpu.cont(contSpinLoad))
+	} else {
+		cpu.ctrl.Load(o.lock.Addr, false, cpu.cont(contElideLoad))
+	}
 }
 
 // txBegin decides how a Critical section executes: elide (speculate) or
 // acquire, per scheme, predictor confidence, nesting budget, and pending
 // fallback state. Restart penalties are charged here, at the re-dispatch of
 // a squashed transaction.
-func (cpu *CPU) txBegin(o op, complete func(result), alive func() bool) {
+func (cpu *CPU) txBegin(o op) {
 	if cpu.eng.Aborted() {
 		if o.frames > 0 {
 			// A NESTED Critical inside the squashed transaction: the abort
 			// belongs to an enclosing elided frame, so this thread must
 			// keep unwinding to the restart point — only the outermost
 			// frame's retry may acknowledge the abort.
-			complete(result{aborted: true})
+			cpu.completeOp(cpu.seq, result{aborted: true})
 			return
 		}
 		reason := cpu.eng.AbortReason()
@@ -479,29 +513,27 @@ func (cpu *CPU) txBegin(o op, complete func(result), alive func() bool) {
 		}
 		// RetryBackoff is the contention policy's extra delay (0 for every
 		// policy but backoff, so the default schedule is untouched).
-		cpu.m.K.After(cpu.m.cfg.RestartPenalty+cpu.eng.RetryBackoff(), func() {
-			if !alive() {
-				return
-			}
-			cpu.txBeginDispatch(o, complete, alive)
-		})
+		cpu.m.K.AfterCall(cpu.m.cfg.RestartPenalty+cpu.eng.RetryBackoff(), txRetryEvent, cpu, nil, cpu.seq)
 		return
 	}
-	cpu.txBeginDispatch(o, complete, alive)
+	cpu.txBeginDispatch()
 }
 
-func (cpu *CPU) txBeginDispatch(o op, complete func(result), alive func() bool) {
+// txRetryEvent re-dispatches TxBegin seq after its restart penalty.
+func txRetryEvent(recv, _ any, seq uint64) {
+	if cpu := recv.(*CPU); cpu.alive(seq) {
+		cpu.txBeginDispatch()
+	}
+}
+
+func (cpu *CPU) txBeginDispatch() {
 	// Transaction/critical-section boundaries fence the TSO store buffer:
 	// prior plain stores reach their global order before the checkpoint.
-	cpu.ctrl.Fence(func() {
-		if !alive() {
-			return
-		}
-		cpu.txBeginDispatchFenced(o, complete, alive)
-	})
+	cpu.ctrl.Fence(cpu.cont(contFence))
 }
 
-func (cpu *CPU) txBeginDispatchFenced(o op, complete func(result), alive func() bool) {
+func (cpu *CPU) txBeginDispatchFenced(seq uint64) {
+	o := &cpu.curOp
 	cpu.prog.lock = o.lock
 	switch cpu.m.cfg.Scheme {
 	case Base:
@@ -512,7 +544,7 @@ func (cpu *CPU) txBeginDispatchFenced(o op, complete func(result), alive func() 
 		}
 		cpu.prog.acquires++
 		cpu.noteProgress(progressAcquire)
-		complete(result{mode: CritAcquireTTS})
+		cpu.completeOp(seq, result{mode: CritAcquireTTS})
 		return
 	case MCS:
 		cpu.eng.EnterCritical(false)
@@ -522,7 +554,7 @@ func (cpu *CPU) txBeginDispatchFenced(o op, complete func(result), alive func() 
 		}
 		cpu.prog.acquires++
 		cpu.noteProgress(progressAcquire)
-		complete(result{mode: CritAcquireMCS})
+		cpu.completeOp(seq, result{mode: CritAcquireMCS})
 		return
 	}
 	if cpu.pendingFallback || !cpu.eng.CanElide() || !cpu.elide.ShouldElide(o.lock.ID) {
@@ -545,10 +577,10 @@ func (cpu *CPU) txBeginDispatchFenced(o op, complete func(result), alive func() 
 		}
 		cpu.prog.acquires++
 		cpu.noteProgress(kind)
-		complete(result{mode: CritAcquireTTS})
+		cpu.completeOp(seq, result{mode: CritAcquireTTS})
 		return
 	}
-	cpu.elideAttempt(o, complete, alive)
+	cpu.elideAttempt(seq)
 }
 
 // elideAttempt elides the lock. The fast path predicts the lock free and
@@ -560,82 +592,84 @@ func (cpu *CPU) txBeginDispatchFenced(o op, complete func(result), alive func() 
 // speculative miss). If the prediction was wrong (lock actually held), the
 // transaction squashes and the retry takes the conservative path: wait for
 // the lock to be observed free before re-entering speculation.
-func (cpu *CPU) elideAttempt(o op, complete func(result), alive func() bool) {
+func (cpu *CPU) elideAttempt(seq uint64) {
+	lock := cpu.curOp.lock
 	if !cpu.waitFree {
 		if !cpu.eng.Speculating() {
 			cpu.specStartAt = cpu.m.K.Now()
 		}
 		cpu.eng.EnterCritical(true)
-		cpu.m.Sys.Trace(cpu.id, trace.TxnBegin, o.lock.Addr, "")
-		txSeq := cpu.eng.TxSeq()
-		cpu.ctrl.Load(o.lock.Addr, false, func(v uint64, ok bool) {
-			// Background resolution: the TxBegin op has long completed.
-			if !ok || !cpu.eng.Speculating() || cpu.eng.TxSeq() != txSeq {
-				return // the transaction already died; nothing to check
-			}
-			if v != 0 {
-				// Mispredicted: the lock was held. Squash and make the
-				// retry wait for a release.
-				cpu.waitFree = true
-				cpu.ctrl.AbortTxn(core.ReasonLockWrite)
-			}
-		})
-		complete(result{mode: CritElided})
+		cpu.m.Sys.Trace(cpu.id, trace.TxnBegin, lock.Addr, "")
+		cpu.ctrl.Load(lock.Addr, false, coherence.Cont{To: cpu, Kind: contLockCheck, Tok: cpu.eng.TxSeq()})
+		cpu.completeOp(seq, result{mode: CritElided})
 		return
 	}
 	// Conservative path after a lock-held misprediction.
-	var try func()
-	try = func() {
-		if !alive() {
-			return // the TxBegin was already squashed; a retry owns the CPU
-		}
-		cpu.ctrl.Load(o.lock.Addr, false, func(v uint64, ok bool) {
-			if !alive() {
-				return
-			}
-			if !ok {
-				complete(result{aborted: true})
-				return
-			}
-			if v != 0 {
-				// Lock held (some thread fell back and acquired): wait for
-				// the release invalidation. The wait is charged to the lock.
-				cpu.ctrl.SubscribeLine(o.lock.Addr, func() {
-					cpu.m.K.After(cpu.m.cfg.SpinRecheck, try)
-				})
-				return
-			}
-			if !cpu.eng.Speculating() {
-				cpu.specStartAt = cpu.m.K.Now()
-			}
-			cpu.eng.EnterCritical(true)
-			cpu.ctrl.Load(o.lock.Addr, false, func(v2 uint64, ok2 bool) {
-				if !alive() {
-					return
-				}
-				if !ok2 || cpu.eng.Aborted() {
-					complete(result{aborted: true})
-					return
-				}
-				if v2 != 0 {
-					// Acquired under us between observation and entry:
-					// squash the empty transaction and retry.
-					cpu.ctrl.AbortTxn(core.ReasonLockWrite)
-					return // onAbort already completed the op
-				}
-				cpu.waitFree = false
-				complete(result{mode: CritElided})
-			})
-		})
+	cpu.ctrl.Load(lock.Addr, false, cpu.cont(contElideLoad))
+}
+
+// lockChecked resolves the background lock-word read of transaction txSeq;
+// the TxBegin op has long completed.
+func (cpu *CPU) lockChecked(txSeq, v uint64, ok bool) {
+	if !ok || !cpu.eng.Speculating() || cpu.eng.TxSeq() != txSeq {
+		return // the transaction already died; nothing to check
 	}
-	try()
+	if v != 0 {
+		// Mispredicted: the lock was held. Squash and make the retry wait
+		// for a release.
+		cpu.waitFree = true
+		cpu.ctrl.AbortTxn(core.ReasonLockWrite)
+	}
+}
+
+// elideLoaded handles a waiting elision's poll of the lock word.
+func (cpu *CPU) elideLoaded(seq, v uint64, ok bool) {
+	if !cpu.alive(seq) {
+		return // the TxBegin was already squashed; a retry owns the CPU
+	}
+	if !ok {
+		cpu.completeOp(seq, result{aborted: true})
+		return
+	}
+	lock := cpu.curOp.lock
+	if v != 0 {
+		// Lock held (some thread fell back and acquired): wait for the
+		// release invalidation. The wait is charged to the lock.
+		cpu.ctrl.SubscribeLine(lock.Addr, cpu.cont(contRecheck))
+		return
+	}
+	if !cpu.eng.Speculating() {
+		cpu.specStartAt = cpu.m.K.Now()
+	}
+	cpu.eng.EnterCritical(true)
+	cpu.ctrl.Load(lock.Addr, false, cpu.cont(contElideEnter))
+}
+
+// elideEntered checks the lock word read as a waiting elision entered
+// speculation.
+func (cpu *CPU) elideEntered(seq, v uint64, ok bool) {
+	if !cpu.alive(seq) {
+		return
+	}
+	if !ok || cpu.eng.Aborted() {
+		cpu.completeOp(seq, result{aborted: true})
+		return
+	}
+	if v != 0 {
+		// Acquired under us between observation and entry: squash the
+		// empty transaction and retry.
+		cpu.ctrl.AbortTxn(core.ReasonLockWrite)
+		return // onAbort already completed the op
+	}
+	cpu.waitFree = false
+	cpu.completeOp(seq, result{mode: CritElided})
 }
 
 // txEnd commits the transaction at the outermost elided level; inner elided
 // levels just pop (their effects commit with the outermost).
-func (cpu *CPU) txEnd(o op, complete func(result)) {
+func (cpu *CPU) txEnd(o op) {
 	if cpu.eng.Aborted() {
-		complete(result{aborted: true})
+		cpu.completeOp(cpu.seq, result{aborted: true})
 		return
 	}
 	cpu.commitLockBound = o.lock != nil && cpu.ctrl.SpecMissOutstanding(o.lock.Addr)
@@ -645,30 +679,37 @@ func (cpu *CPU) txEnd(o op, complete func(result)) {
 		if p := o.lock.prof; p != nil {
 			p.Elided++
 		}
-		complete(result{ok: true})
+		cpu.completeOp(cpu.seq, result{ok: true})
 		return
 	}
 	// Restarts must be read before commit: ResetAttempt clears the count.
-	retries := uint64(cpu.eng.Restarts())
-	cpu.ctrl.TryCommit(func(ok bool) {
-		if !ok {
-			complete(result{aborted: true})
-			return
-		}
-		o.lock.stats.Elided++
-		if p := o.lock.prof; p != nil {
-			p.Elided++
-		}
-		cpu.elide.Success(o.lock.ID)
-		cpu.rmw.EndSection()
-		cpu.eng.ResetAttempt()
-		cpu.m.mx.NoteRetries(retries)
-		cpu.noteRetries(retries)
-		cpu.noteCritDone(o.lock)
-		cpu.prog.commits++
-		cpu.noteProgress(progressCommit)
-		complete(result{ok: true})
-	})
+	cpu.commitRetries = uint64(cpu.eng.Restarts())
+	cpu.ctrl.TryCommit(cpu.cont(contCommit))
+}
+
+// committed finishes TxEnd seq once TryCommit resolved. A pending commit
+// only resolves while its TxEnd is in flight (an abort disarms it), so the
+// op is cpu.curOp.
+func (cpu *CPU) committed(seq uint64, ok bool) {
+	if !ok {
+		cpu.completeOp(seq, result{aborted: true})
+		return
+	}
+	lock := cpu.curOp.lock
+	lock.stats.Elided++
+	if p := lock.prof; p != nil {
+		p.Elided++
+	}
+	retries := cpu.commitRetries
+	cpu.elide.Success(lock.ID)
+	cpu.rmw.EndSection()
+	cpu.eng.ResetAttempt()
+	cpu.m.mx.NoteRetries(retries)
+	cpu.noteRetries(retries)
+	cpu.noteCritDone(lock)
+	cpu.prog.commits++
+	cpu.noteProgress(progressCommit)
+	cpu.completeOp(seq, result{ok: true})
 }
 
 // account attributes an operation's cycles: one busy (issue) cycle, the
@@ -707,10 +748,4 @@ func (cpu *CPU) isLockOp(o op) bool {
 		return false
 	}
 	return cpu.m.Sys.IsLockLine(o.addr)
-}
-
-// DebugOp reports the CPU's current operation state for deadlock dumps.
-func (cpu *CPU) DebugOp() string {
-	return fmt.Sprintf("opActive=%v lastOp=%d stalledUntil=%d pendingFallback=%v waitFree=%v",
-		cpu.opActive, cpu.lastOp, cpu.stalledUntil, cpu.pendingFallback, cpu.waitFree)
 }

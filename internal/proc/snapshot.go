@@ -205,6 +205,7 @@ func (cpu *CPU) reset() {
 	cpu.pendingFallback = false
 	cpu.waitFree = false
 	cpu.commitLockBound = false
+	cpu.commitRetries = 0
 	cpu.stalledUntil = 0
 	cpu.critArmed = false
 	cpu.critStart = 0
@@ -234,6 +235,7 @@ func (cpu *CPU) adoptState(src *CPU) {
 	cpu.pendingFallback = src.pendingFallback
 	cpu.waitFree = src.waitFree
 	cpu.commitLockBound = false
+	cpu.commitRetries = 0
 	cpu.stalledUntil = src.stalledUntil
 	cpu.critArmed = false
 	cpu.critStart = 0

@@ -57,6 +57,11 @@ type Kernel struct {
 	rng    *rand.Rand
 	src    *countingSource
 	fired  uint64
+
+	// reseed marks rng/src as left over from before a Reset or AdoptState:
+	// the next Rand reseeds them from seed instead of allocating a new
+	// source.
+	reseed bool
 }
 
 // countingSource wraps the math/rand source so the kernel can replay its
@@ -106,13 +111,27 @@ func (k *Kernel) Fired() uint64 { return k.fired }
 // reproducible. The stream is created on first use: seeding a math/rand
 // source walks a 607-entry lag table and costs microseconds, which dominates
 // machine construction for configurations that never draw (litmus sweeps
-// build tens of thousands of machines with all jitter disabled).
+// build tens of thousands of machines with all jitter disabled). A reused
+// kernel keeps its source and reseeds it on first use instead: Seed rewinds
+// both the generator and rand.Rand's read position, so the stream equals a
+// fresh one without the allocation.
 func (k *Kernel) Rand() *rand.Rand {
 	if k.rng == nil {
 		k.src = &countingSource{src: rand.NewSource(k.seed)}
 		k.rng = rand.New(k.src)
+	} else if k.reseed {
+		k.rng.Seed(k.seed)
 	}
+	k.reseed = false
 	return k.rng
+}
+
+// draws reports how far the random stream has advanced.
+func (k *Kernel) draws() uint64 {
+	if k.rng == nil || k.reseed {
+		return 0
+	}
+	return k.src.draws
 }
 
 // Reset rewinds the kernel to the state New(seed) constructs, keeping the
@@ -125,7 +144,7 @@ func (k *Kernel) Reset(seed int64) {
 	}
 	k.now, k.seq, k.fired = 0, 0, 0
 	k.seed = seed
-	k.rng, k.src = nil, nil
+	k.reseed = true
 }
 
 // AdoptState makes k's observable state (clock, tie-break sequence, fired
@@ -141,10 +160,10 @@ func (k *Kernel) AdoptState(src *Kernel) {
 	}
 	k.now, k.seq, k.fired = src.now, src.seq, src.fired
 	k.seed = src.seed
-	k.rng, k.src = nil, nil
-	if src.src != nil {
+	k.reseed = true
+	if n := src.draws(); n > 0 {
 		k.Rand()
-		for k.src.draws < src.src.draws {
+		for k.src.draws < n {
 			k.src.Int63()
 		}
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -142,6 +143,66 @@ func TestDeterministicRandomStream(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds should give different streams")
+	}
+}
+
+// drawSeq takes a mix of draws from k's stream (Uint64 takes the Source64
+// path).
+func drawSeq(k *Kernel) []uint64 {
+	var out []uint64
+	for i := 0; i < 20; i++ {
+		out = append(out, uint64(k.Rand().Int63n(1000)), k.Rand().Uint64())
+	}
+	return out
+}
+
+// readSeq is drawSeq led by a Read, which draws through rand.Rand's
+// buffered read position.
+func readSeq(k *Kernel) []uint64 {
+	var buf [3]byte
+	k.Rand().Read(buf[:])
+	return append([]uint64{uint64(buf[0]) | uint64(buf[1])<<8 | uint64(buf[2])<<16}, drawSeq(k)...)
+}
+
+// A reused kernel reseeds its kept source: the draws after Reset(s) equal
+// those of New(s), and resetting and drawing again allocates nothing.
+func TestResetReseedsRandomStream(t *testing.T) {
+	want := readSeq(New(9))
+	k := New(1)
+	readSeq(k) // leaves rand.Rand part-way through a buffered read
+	k.Reset(9)
+	if got := readSeq(k); !reflect.DeepEqual(got, want) {
+		t.Fatalf("draws after Reset(9) = %v, want New(9)'s %v", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		k.Reset(9)
+		k.Rand().Int63()
+	}); n != 0 {
+		t.Errorf("Reset then Rand allocates %.1f objects, want 0", n)
+	}
+}
+
+// AdoptState continues the source kernel's stream from its draw count, on
+// a kernel that has drawn from a stream of its own; a source reset after
+// its draws has none left to replay.
+func TestAdoptStateRandomStream(t *testing.T) {
+	ref := New(5)
+	drawSeq(ref)
+	want := drawSeq(ref)
+
+	src := New(5)
+	drawSeq(src)
+	dst := New(77)
+	drawSeq(dst)
+	dst.AdoptState(src)
+	if got := drawSeq(dst); !reflect.DeepEqual(got, want) {
+		t.Fatalf("draws after AdoptState = %v, want %v", got, want)
+	}
+
+	src.Reset(6)
+	dst.AdoptState(src)
+	if got, want := drawSeq(dst), drawSeq(New(6)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("draws after AdoptState of a reset kernel = %v, want New(6)'s %v", got, want)
 	}
 }
 
