@@ -110,3 +110,24 @@ func TestNonDefaultPoliciesDiverge(t *testing.T) {
 		}
 	}
 }
+
+// TestContentionMatrixIgnoresCM: the matrix enumerates the policies itself,
+// so a -cm selection must not leak into any of its columns — the timestamp
+// column runs the timestamp policy whatever ExperimentOptions.CM says.
+func TestContentionMatrixIgnoresCM(t *testing.T) {
+	o := tlrsim.DefaultExperimentOptions()
+	o.Ops, o.AppProcs = 0.02, 4
+	base, err := tlrsim.ContentionMatrix(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.CM = tlrsim.CMKarma
+	karma, err := tlrsim.ContentionMatrix(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if karma.Report != base.Report {
+		t.Fatalf("-cm karma changed the matrix at byte %d:\n%s\nwant:\n%s",
+			firstDiff(karma.Report, base.Report), karma.Report, base.Report)
+	}
+}

@@ -172,8 +172,8 @@ type Probe struct {
 }
 
 // Messages implement Msg with pointer receivers so they cross the interface
-// without boxing; the hot creation sites go through the pooled SendData /
-// SendMarker / SendProbe helpers, which recycle each message once delivered.
+// without boxing; they are created only by the pooled SendData / SendMarker /
+// SendProbe helpers, which recycle each message once delivered.
 func (m *DataResp) msgFrom() int { return m.From }
 func (m *Marker) msgFrom() int   { return m.From }
 func (m *Probe) msgFrom() int    { return m.From }
@@ -506,22 +506,6 @@ func (b *Bus) resolveSnoop(t *Txn) {
 	b.Release(t)
 }
 
-// Send delivers msg to controller `to` over the data network after the data
-// latency plus any injection-port backpressure at the sender. The message is
-// retained until delivery and never recycled; hot paths use the pooled
-// SendData/SendMarker/SendProbe helpers instead.
-func (b *Bus) Send(to int, msg Msg) {
-	switch msg.(type) {
-	case *DataResp:
-		b.stats.DataMsgs++
-	case *Marker:
-		b.stats.Markers++
-	case *Probe:
-		b.stats.Probes++
-	}
-	b.sendMsg(to, msg, deliverEvent, 0)
-}
-
 // SendData sends a pooled DataResp completing split transaction req. data is
 // copied into the message at call time.
 func (b *Bus) SendData(to int, req uint64, line memsys.Addr, data *memsys.LineData, from int, shared bool) {
@@ -533,7 +517,7 @@ func (b *Bus) SendData(to int, req uint64, line memsys.Addr, data *memsys.LineDa
 	}
 	m.Req, m.Line, m.Data, m.From, m.Shared = req, line, *data, from, shared
 	b.stats.DataMsgs++
-	b.sendMsg(to, m, deliverRecycleEvent, 0)
+	b.sendMsg(to, m, 0)
 }
 
 // SendMarker sends a pooled Marker for transaction req.
@@ -546,7 +530,7 @@ func (b *Bus) SendMarker(to int, req uint64, line memsys.Addr, from int) {
 	}
 	m.Req, m.Line, m.From = req, line, from
 	b.stats.Markers++
-	b.sendMsg(to, m, deliverRecycleEvent, sim.Time(b.faults.MsgDelay()))
+	b.sendMsg(to, m, sim.Time(b.faults.MsgDelay()))
 }
 
 // SendProbe sends a pooled Probe carrying the conflicting timestamp ts.
@@ -559,15 +543,15 @@ func (b *Bus) SendProbe(to int, line memsys.Addr, ts stamp.Stamp, from int) {
 	}
 	m.Line, m.Stamp, m.From = line, ts, from
 	b.stats.Probes++
-	b.sendMsg(to, m, deliverRecycleEvent, sim.Time(b.faults.MsgDelay()))
+	b.sendMsg(to, m, sim.Time(b.faults.MsgDelay()))
 }
 
-// sendMsg schedules the delivery event; deliver decides whether the message
-// returns to its free list afterwards. extra is injected marker/probe delay
+// sendMsg schedules the delivery of a pooled message, which returns to its
+// free list once delivered. extra is injected marker/probe delay
 // (message latency is unspecified beyond occupancy spacing, so delivery may
 // legally land arbitrarily later; data responses stay on time — the split
 // transaction is already accounted against the requester).
-func (b *Bus) sendMsg(to int, msg Msg, deliver sim.Callback, extra sim.Time) {
+func (b *Bus) sendMsg(to int, msg Msg, extra sim.Time) {
 	if !b.attached(to) {
 		panic(fmt.Sprintf("bus: Send to unknown controller %d", to))
 	}
@@ -577,18 +561,13 @@ func (b *Bus) sendMsg(to int, msg Msg, deliver sim.Callback, extra sim.Time) {
 		depart = now
 	}
 	b.sendFree[from] = depart + sim.Time(b.cfg.Occupancy)
-	b.k.AtCall(depart+sim.Time(b.cfg.DataLat)+extra, deliver, b, msg, uint64(to+1))
+	b.k.AtCall(depart+sim.Time(b.cfg.DataLat)+extra, deliverEvent, b, msg, uint64(to+1))
 }
 
-// deliverEvent and deliverRecycleEvent are the pre-bound delivery callbacks:
-// recv is the Bus, arg the message, n the destination's table slot (id+1).
-// Receivers must not retain a recycled message past Deliver.
+// deliverEvent is the pre-bound delivery callback: recv is the Bus, arg the
+// message, n the destination's table slot (id+1). Receivers must not retain
+// a message past Deliver: it is recycled for the next send.
 func deliverEvent(recv, arg any, n uint64) {
-	b := recv.(*Bus)
-	b.recvs[n].Deliver(arg.(Msg))
-}
-
-func deliverRecycleEvent(recv, arg any, n uint64) {
 	b := recv.(*Bus)
 	msg := arg.(Msg)
 	b.recvs[n].Deliver(msg)

@@ -160,7 +160,7 @@ func TestDataDelivery(t *testing.T) {
 	b, ctrls, _ := testbus(k, 2)
 	var d memsys.LineData
 	d[3] = 77
-	b.Send(1, &DataResp{Req: 9, Line: 0x40, Data: d, From: 0})
+	b.SendData(1, 9, 0x40, &d, 0, false)
 	k.Run()
 	if len(ctrls[1].msgs) != 1 {
 		t.Fatalf("got %d msgs, want 1", len(ctrls[1].msgs))
@@ -180,7 +180,7 @@ func TestSendOccupancySerialisesPerSource(t *testing.T) {
 	b.Attach(1, newFake(1), recvFunc(func(Msg) {}))
 	// Three back-to-back sends from source 1: spaced by occupancy.
 	for i := 0; i < 3; i++ {
-		b.Send(0, &Marker{Line: 0x40, From: 1})
+		b.SendMarker(0, 0, 0x40, 1)
 	}
 	k.Run()
 	if len(arrivals) != 3 {
@@ -200,9 +200,9 @@ func TestStatsCounters(t *testing.T) {
 	b, _, _ := testbus(k, 2)
 	b.Issue(&Txn{Kind: GetX, Line: 0x40, Src: 0})
 	b.Issue(&Txn{Kind: GetS, Line: 0x80, Src: 1})
-	b.Send(1, &DataResp{From: 0})
-	b.Send(1, &Marker{From: 0})
-	b.Send(0, &Probe{From: 1})
+	b.SendData(1, 0, 0, &memsys.LineData{}, 0, false)
+	b.SendMarker(1, 0, 0, 0)
+	b.SendProbe(0, 0, stamp.Stamp{}, 1)
 	k.Run()
 	s := b.Stats()
 	if s.Txns[GetX] != 1 || s.Txns[GetS] != 1 || s.DataMsgs != 1 || s.Markers != 1 || s.Probes != 1 {
@@ -308,7 +308,7 @@ func TestSendToUnknownIDPanics(t *testing.T) {
 					t.Fatalf("Send to unknown controller %d must panic", to)
 				}
 			}()
-			b.Send(to, &Marker{From: 0})
+			b.SendMarker(to, 0, 0, 0)
 		}()
 	}
 }
@@ -326,12 +326,12 @@ func TestMemSlotRoundTrips(t *testing.T) {
 		return k, b, &arrivals
 	}
 	ksrc, src, _ := build()
-	src.Send(0, &Marker{From: MemID}) // memory's port is busy until cycle 4
+	src.SendMarker(0, 0, 0, MemID) // memory's port is busy until cycle 4
 	ksrc.Run()
 
 	k, dst, arrivals := build()
 	dst.AdoptState(src)
-	dst.Send(0, &Marker{From: MemID})
+	dst.SendMarker(0, 0, 0, MemID)
 	k.Run()
 	if got := *arrivals; len(got) != 1 || got[0] != 14 {
 		t.Fatalf("adopted memory port: arrivals %v, want [14]", got)
@@ -340,7 +340,7 @@ func TestMemSlotRoundTrips(t *testing.T) {
 	dst.Reset()
 	k.Reset(1)
 	*arrivals = nil
-	dst.Send(0, &Marker{From: MemID})
+	dst.SendMarker(0, 0, 0, MemID)
 	k.Run()
 	if got := *arrivals; len(got) != 1 || got[0] != 10 {
 		t.Fatalf("reset memory port: arrivals %v, want [10]", got)

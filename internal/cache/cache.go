@@ -103,7 +103,7 @@ type Config struct {
 
 // Stats counts array activity.
 type Stats struct {
-	Hits, Misses     uint64
+	Hits             uint64
 	Evictions        uint64
 	WritebackEvicts  uint64
 	VictimHits       uint64
@@ -256,9 +256,6 @@ func (c *Cache) Touch(l *Line) {
 	l.lru = c.tick
 	c.stats.Hits++
 }
-
-// Miss counts a miss (the fill arrives later via Insert).
-func (c *Cache) Miss() { c.stats.Misses++ }
 
 // Insert fills line with the given state and data. It returns the evicted
 // line (if a valid, non-speculative frame was displaced) and ok=false when

@@ -265,14 +265,26 @@ type Engine struct {
 	stats Stats
 }
 
-// NewEngine returns an engine for processor cpu.
-func NewEngine(cpu int, pol Policy) *Engine {
+// withDefaults fills the bounds a zero Policy leaves unset and sets
+// StrictTimestamps under CMStrictTS: the strict-ts policy is the timestamp
+// policy without the §3.2 relaxation, so every reader of either knob (the
+// policy itself, the revocation check in coherence) sees one view.
+func (pol Policy) withDefaults() Policy {
 	if pol.MaxDeferred <= 0 {
 		pol.MaxDeferred = 16
 	}
 	if pol.MaxElisionDepth <= 0 {
 		pol.MaxElisionDepth = 8
 	}
+	if pol.CM == CMStrictTS {
+		pol.StrictTimestamps = true
+	}
+	return pol
+}
+
+// NewEngine returns an engine for processor cpu.
+func NewEngine(cpu int, pol Policy) *Engine {
+	pol = pol.withDefaults()
 	e := &Engine{
 		cpu:               cpu,
 		pol:               pol,
@@ -292,12 +304,7 @@ func NewEngine(cpu int, pol Policy) *Engine {
 // change across a reset (the scheme is a runtime knob of machine reuse), so
 // NewEngine's defaulting is reapplied to pol.
 func (e *Engine) Reset(pol Policy) {
-	if pol.MaxDeferred <= 0 {
-		pol.MaxDeferred = 16
-	}
-	if pol.MaxElisionDepth <= 0 {
-		pol.MaxElisionDepth = 8
-	}
+	pol = pol.withDefaults()
 	e.pol = pol
 	e.cm = PolicyFor(pol.CM)
 	e.clk.Reset()
@@ -621,9 +628,6 @@ func (e *Engine) Karma() uint64 { return e.karma }
 // RetryBackoff returns the contention policy's extra delay (cycles) before
 // re-dispatching the squashed attempt; 0 for every policy but CMBackoff.
 func (e *Engine) RetryBackoff() uint64 { return e.cm.RetryDelay(e) }
-
-// ContentionName returns the active contention policy's name.
-func (e *Engine) ContentionName() string { return e.cm.Name() }
 
 // Commit finishes a successful transaction: the logical clock advances
 // strictly monotonically past every observed conflicting clock (invariant

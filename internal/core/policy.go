@@ -96,8 +96,6 @@ func CMs() []CM {
 // deferral headroom, resource-class fallback, MaxRestarts, SLE limit) have
 // passed, so every policy inherits the same correctness envelope.
 type ContentionPolicy interface {
-	// Name is the stable identifier (ParseCM's vocabulary).
-	Name() string
 	// ResolveTimestamped decides a conflicting timestamped request the
 	// local transaction could defer.
 	ResolveTimestamped(e *Engine, in stamp.Stamp, line memsys.Addr, otherLineOutstanding bool) Decision
@@ -119,7 +117,7 @@ type ContentionPolicy interface {
 // the table and its entries are immutable after init.
 var contentionPolicies = [cmCount]ContentionPolicy{
 	CMTimestamp:     timestampPolicy{},
-	CMStrictTS:      strictTSPolicy{},
+	CMStrictTS:      timestampPolicy{}, // with StrictTimestamps, which the engine sets
 	CMRequesterWins: requesterWinsPolicy{},
 	CMBackoff:       backoffPolicy{},
 	CMKarma:         karmaPolicy{},
@@ -138,8 +136,6 @@ func PolicyFor(cm CM) ContentionPolicy {
 // confined to a single block with no other miss outstanding (deadlock is
 // then impossible), unless Policy.StrictTimestamps disables the relaxation.
 type timestampPolicy struct{}
-
-func (timestampPolicy) Name() string { return CMTimestamp.String() }
 
 func (timestampPolicy) ResolveTimestamped(e *Engine, in stamp.Stamp, line memsys.Addr, otherLineOutstanding bool) Decision {
 	if e.StampBefore(e.txStamp, in) {
@@ -169,27 +165,6 @@ func (timestampPolicy) AttemptStamp(e *Engine) stamp.Stamp { return e.clk.Curren
 
 func (timestampPolicy) RetryDelay(e *Engine) uint64 { return 0 }
 
-// strictTSPolicy is timestampPolicy without the §3.2 relaxation: pure
-// timestamp order, the Figure 9 TLR-strict-ts ablation.
-type strictTSPolicy struct{}
-
-func (strictTSPolicy) Name() string { return CMStrictTS.String() }
-
-func (strictTSPolicy) ResolveTimestamped(e *Engine, in stamp.Stamp, line memsys.Addr, otherLineOutstanding bool) Decision {
-	if e.StampBefore(e.txStamp, in) {
-		return Defer
-	}
-	return Service
-}
-
-func (strictTSPolicy) ResolveUntimestamped(e *Engine, line memsys.Addr) Decision { return Defer }
-
-func (strictTSPolicy) ShouldFallback(e *Engine, r Reason) bool { return false }
-
-func (strictTSPolicy) AttemptStamp(e *Engine) stamp.Stamp { return e.clk.Current() }
-
-func (strictTSPolicy) RetryDelay(e *Engine) uint64 { return 0 }
-
 // requesterWinsRestartLimit bounds the conflict restarts one attempt
 // tolerates under requester-wins (and, more generously, backoff) before
 // acquiring the lock. Requester-wins has no fairness mechanism at all —
@@ -206,8 +181,6 @@ const (
 // obstruction-free strawman — any single transaction running alone
 // finishes, but contended transactions make progress only by luck.
 type requesterWinsPolicy struct{}
-
-func (requesterWinsPolicy) Name() string { return CMRequesterWins.String() }
 
 func (requesterWinsPolicy) ResolveTimestamped(e *Engine, in stamp.Stamp, line memsys.Addr, otherLineOutstanding bool) Decision {
 	return Service
@@ -239,8 +212,6 @@ const (
 	backoffBase     = 32
 	backoffMaxShift = 7
 )
-
-func (backoffPolicy) Name() string { return CMBackoff.String() }
 
 func (backoffPolicy) ResolveTimestamped(e *Engine, in stamp.Stamp, line memsys.Addr, otherLineOutstanding bool) Decision {
 	return Service
@@ -315,8 +286,6 @@ const (
 	karmaBackoffBase     = 16
 	karmaBackoffMaxShift = 6
 )
-
-func (karmaPolicy) Name() string { return CMKarma.String() }
 
 func (karmaPolicy) ResolveTimestamped(e *Engine, in stamp.Stamp, line memsys.Addr, otherLineOutstanding bool) Decision {
 	if e.StampBefore(e.txStamp, in) {

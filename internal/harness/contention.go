@@ -6,9 +6,7 @@ import (
 
 	"tlrsim/internal/core"
 	"tlrsim/internal/proc"
-	"tlrsim/internal/runner"
 	"tlrsim/internal/stats"
-	"tlrsim/internal/telemetry"
 	"tlrsim/internal/workloads"
 )
 
@@ -50,136 +48,73 @@ func cmWorkloads(o Options) []cmWorkload {
 // per critical-section exit), and — for the open-loop service rows — the
 // end-to-end p99 request latency.
 //
-// All rows run at o.AppProcs. Closed-loop rows fork one warm prefix per
-// workload across BASE and all policy variants (scheme and policy are reset
-// knobs, not machine shape); the service rows attach a telemetry recorder
-// per point, exactly as ServiceSweep does. Options.CM is ignored: the matrix
-// enumerates the policies itself.
+// All rows run at o.AppProcs, in one runPoints call. Closed-loop rows fork
+// one warm prefix per workload across BASE and all policy variants (scheme
+// and policy are reset knobs, not machine shape); the service rows attach a
+// telemetry recorder per point, as ServiceSweep does. Options.CM is ignored:
+// the matrix enumerates the policies itself.
 func ContentionMatrix(o Options) (*Result, error) {
+	o.CM = core.CMTimestamp // or runPoints would put o.CM in the timestamp column
 	cms := core.CMs()
-	rows := cmWorkloads(o)
+	// One column per policy after BASE, the speedup denominator.
+	cols := append([]string{"BASE"}, cmLabels(cms)...)
+	cfgs := []proc.Config{MachineConfig(o.AppProcs, proc.Base, o.Seed)}
+	for _, cm := range cms {
+		cfg := MachineConfig(o.AppProcs, proc.TLR, o.Seed)
+		cfg.Policy.CM = cm
+		cfgs = append(cfgs, cfg)
+	}
+	label := func(row string, col int) string {
+		return fmt.Sprintf("cm %s %s procs=%d", row, cols[col], o.AppProcs)
+	}
 
-	// Closed-loop rows through the standard point runner.
+	var rows []string
 	var points []point
-	for _, row := range rows {
-		points = append(points, point{
-			label: fmt.Sprintf("cm %s BASE procs=%d", row.label, o.AppProcs),
-			cfg:   MachineConfig(o.AppProcs, proc.Base, o.Seed),
-			build: row.build,
-			fork:  "cm-" + row.label,
-		})
-		for _, cm := range cms {
-			cfg := MachineConfig(o.AppProcs, proc.TLR, o.Seed)
-			cfg.Policy.CM = cm
-			points = append(points, point{
-				label: fmt.Sprintf("cm %s %s procs=%d", row.label, cm, o.AppProcs),
-				cfg:   cfg,
-				build: row.build,
-				fork:  "cm-" + row.label,
-			})
+	for _, row := range cmWorkloads(o) {
+		rows = append(rows, row.label)
+		for k, cfg := range cfgs {
+			points = append(points, point{label: label(row.label, k), cfg: cfg, build: row.build, fork: "cm-" + row.label})
 		}
 	}
-	closedRuns, err := runPoints(o, points)
-	if err != nil {
-		return nil, err
-	}
-
 	// Open-loop service rows: one recorder per point for the e2e tail.
-	rates := DefaultServiceOptions().Rates
 	requests := o.scaled(4096)
-	perRow := 1 + len(cms) // BASE + one column per policy
-	nSvc := len(rates) * perRow
-	svcRecs := make([]*telemetry.Recorder, nSvc)
-	var units []runner.Unit
-	addSvc := func(rate ServiceRate, scheme proc.Scheme, cm core.CM, label string) {
-		idx := len(units)
-		cfg := MachineConfig(o.AppProcs, scheme, o.Seed)
-		if scheme.Elides() {
-			cfg.Policy.CM = cm
-		}
-		cfg.EnableMetrics = o.Metrics
-		if o.Flight > 0 && cfg.TraceCapacity == 0 {
-			cfg.TraceCapacity = o.Flight
-		}
-		if o.Faults.Enabled() {
-			cfg.Faults = o.Faults
-			if cfg.StallCycles == 0 {
-				cfg.StallCycles = faultStallCycles
-			}
-		}
-		job := runner.Job{Label: label, Config: cfg}
-		units = append(units, runner.Unit{
-			Jobs: []runner.Job{job},
-			Exec: func(mc *runner.MachineCache, jobs []runner.Job) ([]*stats.Run, error) {
-				rec := telemetry.NewRecorder(telemetry.Config{})
-				w := &workloads.Service{
-					Requests: requests,
-					MeanGap:  rate.MeanGap,
-					Seed:     o.Seed,
-					Rec:      rec,
-				}
-				m := mc.Acquire(jobs[0].Config)
-				if err := workloads.RunOn(m, w); err != nil {
-					return nil, fmt.Errorf("%s: %w", jobs[0].Label, err)
-				}
-				rec.Finish(uint64(m.Cycles()))
-				run := stats.Collect(m)
-				mc.Release(m)
-				svcRecs[idx] = rec
-				return []*stats.Run{run}, nil
-			},
-		})
-	}
-	for _, rate := range rates {
-		rate := rate
-		addSvc(rate, proc.Base, core.CMTimestamp,
-			fmt.Sprintf("cm service-%s BASE procs=%d", rate.Label, o.AppProcs))
-		for _, cm := range cms {
-			addSvc(rate, proc.TLR, cm,
-				fmt.Sprintf("cm service-%s %s procs=%d", rate.Label, cm, o.AppProcs))
+	tel := &serviceTelemetry{}
+	for _, rate := range DefaultServiceOptions().Rates {
+		row := "service-" + rate.Label
+		rows = append(rows, row)
+		for k, cfg := range cfgs {
+			points = append(points, tel.point(len(points), label(row, k), cfg, requests, rate.MeanGap, o.Seed))
 		}
 	}
-	pool := &runner.Pool{Workers: o.Jobs, Progress: o.Progress, Cold: o.ColdStart}
-	byUnit, err := pool.RunUnits(units)
+	runs, err := tel.run(o, points)
 	if err != nil {
 		return nil, err
 	}
 
-	res := &Result{
-		Name:     "cm",
-		Runs:     make(map[string]map[int]*stats.Run),
-		Variants: append([]string{"BASE"}, cmLabels(cms)...),
-		KeyCol:   "workload",
-	}
+	res := &Result{Name: "cm", Runs: make(map[string]map[int]*stats.Run), Variants: cols, KeyCol: "workload"}
 	t := &stats.Table{Header: []string{
 		"workload", "policy", "cycles", "speedup", "abort%", "fb%", "e2eP99",
 	}}
-	addRow := func(label string, base *stats.Run, cells []*stats.Run, p99 func(i int) string) {
-		res.Runs[label] = map[int]*stats.Run{0: base}
-		for i, run := range cells {
-			res.Runs[label][i+1] = run
-			t.Add(label, cms[i].String(),
+	for ri, row := range rows {
+		first := ri * len(cols)
+		base := runs[first]
+		res.Runs[row] = map[int]*stats.Run{0: base}
+		for k := 1; k < len(cols); k++ {
+			run := runs[first+k]
+			res.Runs[row][k] = run
+			p99 := "-"
+			if rec := tel.recs[first+k]; rec != nil {
+				e2e, _ := rec.Summary()
+				p99 = fmt.Sprintf("%d", e2e.P99)
+			}
+			t.Add(row, cols[k],
 				fmt.Sprintf("%d", run.Cycles),
 				fmt.Sprintf("%.3f", run.Speedup(base)),
 				pct(run.Aborts, run.Starts),
 				pct(run.Fallbacks, run.Commits+run.Fallbacks),
-				p99(i),
+				p99,
 			)
 		}
-	}
-	for ri, row := range rows {
-		runs := closedRuns[ri*perRow : (ri+1)*perRow]
-		addRow(row.label, runs[0], runs[1:], func(int) string { return "-" })
-	}
-	for rj, rate := range rates {
-		var cells []*stats.Run
-		for k := 0; k < perRow; k++ {
-			cells = append(cells, byUnit[rj*perRow+k][0])
-		}
-		addRow("service-"+rate.Label, cells[0], cells[1:], func(i int) string {
-			e2e, _ := svcRecs[rj*perRow+i+1].Summary()
-			return fmt.Sprintf("%d", e2e.P99)
-		})
 	}
 
 	var b bytes.Buffer

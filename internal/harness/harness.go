@@ -148,7 +148,9 @@ type point struct {
 }
 
 // runPoints executes the experiment's points on the worker pool configured
-// by o and returns the results in enumeration order. Fork-grouped points
+// by o and returns the results in enumeration order. Every experiment runs
+// its machines through it, and it is the one place Options (Metrics, CM,
+// Flight, Faults) reach a point's config. Fork-grouped points
 // share one snapshotted prefix per group (disabled under Metrics — snapshots
 // refuse metrics machines, whose per-lock profiles forks would share — under
 // ColdStart, and under fault injection — snapshots cannot carry the

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"io"
 
-	"tlrsim/internal/core"
 	"tlrsim/internal/proc"
-	"tlrsim/internal/runner"
 	"tlrsim/internal/stats"
 	"tlrsim/internal/telemetry"
 	"tlrsim/internal/workloads"
@@ -72,84 +70,28 @@ var serviceSchemes = []proc.Scheme{proc.Base, proc.MCS, proc.TLR}
 func ServiceSweep(o Options, so ServiceOptions) (*Result, error) {
 	so = so.withDefaults()
 	requests := o.scaled(4096)
-	type pt struct {
-		label string
-		rate  ServiceRate
-	}
-	var (
-		pts   []pt
-		units []runner.Unit
-	)
-	n := len(so.Rates) * len(serviceSchemes)
-	recs := make([]*telemetry.Recorder, n)
-	streams := make([]*bytes.Buffer, n)
-	for _, rate := range so.Rates {
-		for _, scheme := range serviceSchemes {
-			idx := len(pts)
-			rate := rate
-			cfg := MachineConfig(o.AppProcs, scheme, o.Seed)
-			if o.CM != core.CMTimestamp && scheme.Elides() {
-				cfg.Policy.CM = o.CM
+	tel := &serviceTelemetry{window: so.WindowCycles}
+	var points []point
+	streams := make([]*bytes.Buffer, len(so.Rates)*len(serviceSchemes))
+	if so.Telemetry != nil {
+		tel.newSink = func(i int, label string) windowSink {
+			streams[i] = &bytes.Buffer{}
+			if so.CSV {
+				return telemetry.NewCSVWindows(streams[i])
 			}
-			cfg.EnableMetrics = o.Metrics
-			if o.Flight > 0 && cfg.TraceCapacity == 0 {
-				cfg.TraceCapacity = o.Flight
-			}
-			if o.Faults.Enabled() {
-				cfg.Faults = o.Faults
-				if cfg.StallCycles == 0 {
-					cfg.StallCycles = faultStallCycles
-				}
-			}
-			label := fmt.Sprintf("service %s %v procs=%d", rate.Label, scheme, o.AppProcs)
-			pts = append(pts, pt{label: label, rate: rate})
-			job := runner.Job{Label: label, Config: cfg}
-			units = append(units, runner.Unit{
-				Jobs: []runner.Job{job},
-				Exec: func(mc *runner.MachineCache, jobs []runner.Job) ([]*stats.Run, error) {
-					tcfg := telemetry.Config{WindowCycles: so.WindowCycles}
-					var sink interface {
-						telemetry.WindowSink
-						Close() error
-					}
-					if so.Telemetry != nil {
-						streams[idx] = &bytes.Buffer{}
-						if so.CSV {
-							sink = telemetry.NewCSVWindows(streams[idx])
-						} else {
-							j := telemetry.NewJSONLWindows(streams[idx])
-							j.Label = jobs[0].Label
-							sink = j
-						}
-						tcfg.Sink = sink
-					}
-					rec := telemetry.NewRecorder(tcfg)
-					w := &workloads.Service{
-						Requests: requests,
-						MeanGap:  rate.MeanGap,
-						Seed:     o.Seed,
-						Rec:      rec,
-					}
-					m := mc.Acquire(jobs[0].Config)
-					if err := workloads.RunOn(m, w); err != nil {
-						return nil, fmt.Errorf("%s: %w", jobs[0].Label, err)
-					}
-					rec.Finish(uint64(m.Cycles()))
-					if sink != nil {
-						if err := sink.Close(); err != nil {
-							return nil, fmt.Errorf("%s: telemetry export: %w", jobs[0].Label, err)
-						}
-					}
-					run := stats.Collect(m)
-					mc.Release(m)
-					recs[idx] = rec
-					return []*stats.Run{run}, nil
-				},
-			})
+			j := telemetry.NewJSONLWindows(streams[i])
+			j.Label = label
+			return j
 		}
 	}
-	pool := &runner.Pool{Workers: o.Jobs, Progress: o.Progress, Cold: o.ColdStart}
-	byUnit, err := pool.RunUnits(units)
+	for _, rate := range so.Rates {
+		for _, scheme := range serviceSchemes {
+			points = append(points, tel.point(len(points),
+				fmt.Sprintf("service %s %v procs=%d", rate.Label, scheme, o.AppProcs),
+				MachineConfig(o.AppProcs, scheme, o.Seed), requests, rate.MeanGap, o.Seed))
+		}
+	}
+	runs, err := tel.run(o, points)
 	if err != nil {
 		return nil, err
 	}
@@ -169,8 +111,7 @@ func ServiceSweep(o Options, so ServiceOptions) (*Result, error) {
 	for _, rate := range so.Rates {
 		res.Runs[rate.Label] = make(map[int]*stats.Run)
 		for vi := range serviceSchemes {
-			run := byUnit[i][0]
-			rec := recs[i]
+			run, rec := runs[i], tel.recs[i]
 			i++
 			res.Runs[rate.Label][vi] = run
 			e2e, cs := rec.Summary()
@@ -195,13 +136,13 @@ func ServiceSweep(o Options, so ServiceOptions) (*Result, error) {
 	fmt.Fprintf(&b, "Open-loop service: tail latency at %d processors, %d requests (latencies in cycles)\n",
 		o.AppProcs, requests)
 	b.WriteString(t.String())
-	for i, p := range pts {
-		fmt.Fprintf(&b, "\n== %s ==\n%s", p.label, recs[i].Report())
+	for i, p := range points {
+		fmt.Fprintf(&b, "\n== %s ==\n%s", p.label, tel.recs[i].Report())
 	}
 	res.Report = b.String()
 
 	if so.Telemetry != nil {
-		for i, p := range pts {
+		for i, p := range points {
 			if so.CSV {
 				if _, err := fmt.Fprintf(so.Telemetry, "# %s\n%s", p.label, streams[i].Bytes()); err != nil {
 					return nil, fmt.Errorf("telemetry write: %w", err)
@@ -214,6 +155,62 @@ func ServiceSweep(o Options, so ServiceOptions) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// windowSink is a telemetry window sink that flushes on Close.
+type windowSink interface {
+	telemetry.WindowSink
+	Close() error
+}
+
+// serviceTelemetry keeps the telemetry of an experiment's open-loop service
+// points by point index. A point's build creates its recorder, and its
+// window sink when newSink is set, on the worker that runs it; run finishes
+// both once every point has run.
+type serviceTelemetry struct {
+	// window is the recorder's tumbling-window length (0: the default).
+	window  uint64
+	newSink func(i int, label string) windowSink
+	recs    []*telemetry.Recorder
+	sinks   []windowSink
+}
+
+// point returns an open-loop service point: requests arrivals at mean gap
+// per CPU into the Service store, recorded by the recorder at index i, which
+// must be the point's index in the experiment's points.
+func (t *serviceTelemetry) point(i int, label string, cfg proc.Config, requests int, gap uint64, seed int64) point {
+	return point{label: label, cfg: cfg, build: func() workloads.Workload {
+		tcfg := telemetry.Config{WindowCycles: t.window}
+		if t.newSink != nil {
+			t.sinks[i] = t.newSink(i, label)
+			tcfg.Sink = t.sinks[i]
+		}
+		t.recs[i] = telemetry.NewRecorder(tcfg)
+		return &workloads.Service{Requests: requests, MeanGap: gap, Seed: seed, Rec: t.recs[i]}
+	}}
+}
+
+// run executes the points through runPoints, then finishes every service
+// recorder at its run's final cycle and closes its sink.
+func (t *serviceTelemetry) run(o Options, points []point) ([]*stats.Run, error) {
+	t.recs = make([]*telemetry.Recorder, len(points))
+	t.sinks = make([]windowSink, len(points))
+	runs, err := runPoints(o, points)
+	if err != nil {
+		return nil, err
+	}
+	for i, rec := range t.recs {
+		if rec == nil {
+			continue
+		}
+		rec.Finish(runs[i].Cycles)
+		if sink := t.sinks[i]; sink != nil {
+			if err := sink.Close(); err != nil {
+				return nil, fmt.Errorf("%s: telemetry export: %w", points[i].label, err)
+			}
+		}
+	}
+	return runs, nil
 }
 
 func schemeLabels(schemes []proc.Scheme) []string {

@@ -2,12 +2,12 @@ package litmus
 
 import (
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sort"
 	"sync"
 
 	"tlrsim/internal/proc"
+	"tlrsim/internal/runner"
 )
 
 // Options configures a containment-checking sweep.
@@ -136,63 +136,34 @@ func checkPrograms(progs []Program, st EnumStats, opts Options) *Report {
 	if opts.MaxDivergences == 0 {
 		opts.MaxDivergences = DefaultMaxDivergences
 	}
-	workers := opts.Jobs
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	// One pooled runner and one reference-model explorer per worker: both
+	// are single-goroutine state, and per-worker reuse needs no locking.
+	type worker struct {
+		r *Runner
+		e *explorer
 	}
-	if workers > len(progs) {
-		workers = len(progs)
+	newWorker := func() worker {
+		if opts.ColdStart {
+			return worker{NewColdRunner(), newExplorer()}
+		}
+		return worker{NewRunner(), newExplorer()}
 	}
-	if workers < 1 {
-		workers = 1
-	}
-
 	results := make([]progResult, len(progs))
 	var (
 		mu   sync.Mutex
-		wg   sync.WaitGroup
-		next int
 		done int
 	)
-	claim := func() (int, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if next >= len(progs) {
-			return 0, false
+	// checkOne reports failures as divergences, never as errors.
+	_ = runner.Loop(len(progs), opts.Jobs, newWorker, func(w worker, i int) error {
+		results[i] = checkOne(w.r, w.e, progs[i], opts)
+		if opts.Progress != nil {
+			mu.Lock()
+			defer mu.Unlock()
+			done++
+			opts.Progress(done, len(progs))
 		}
-		i := next
-		next++
-		return i, true
-	}
-	work := func() {
-		defer wg.Done()
-		// One pooled runner and one reference-model explorer per worker:
-		// both are single-goroutine state, and per-worker reuse needs no
-		// locking.
-		r := NewRunner()
-		if opts.ColdStart {
-			r = NewColdRunner()
-		}
-		e := newExplorer()
-		for {
-			i, ok := claim()
-			if !ok {
-				return
-			}
-			results[i] = checkOne(r, e, progs[i], opts)
-			if opts.Progress != nil {
-				mu.Lock()
-				done++
-				opts.Progress(done, len(progs))
-				mu.Unlock()
-			}
-		}
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go work()
-	}
-	wg.Wait()
+		return nil
+	})
 
 	rep := &Report{Shape: opts.Shape, EnumStats: st, Programs: len(progs)}
 	for _, r := range results {

@@ -1,6 +1,7 @@
 package litmus
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -98,17 +99,21 @@ func TestCheckSmokeShape(t *testing.T) {
 	}
 }
 
-// TestCheckReportsDeterministically runs the same sweep twice with different
-// worker counts: the report must be identical — divergence order is defined
-// by enumeration order, not host scheduling.
+// TestCheckReportsDeterministically runs the same sweep at several worker
+// counts, warm and cold: the reports must be identical — divergence order is
+// defined by enumeration order, not host scheduling, and machine reuse is
+// exact.
 func TestCheckReportsDeterministically(t *testing.T) {
-	opts := Options{Shape: Shape{CPUs: 2, Locs: 2, MaxOps: 1}, Seeds: []int64{1, 2, 3}}
-	a := Check(opts)
-	opts.Jobs = 4
-	b := Check(opts)
-	if a.Runs != b.Runs || a.RefOutcomes != b.RefOutcomes ||
-		a.ObservedOutcomes != b.ObservedOutcomes || a.TotalDivergences != b.TotalDivergences {
-		t.Fatalf("reports differ across worker counts:\n%+v\n%+v", a, b)
+	opts := Options{Shape: Shape{CPUs: 2, Locs: 2, MaxOps: 1}, Seeds: []int64{1, 2, 3}, Jobs: 1}
+	want := Check(opts)
+	for _, v := range []struct {
+		jobs int
+		cold bool
+	}{{4, false}, {1, true}, {4, true}} {
+		opts.Jobs, opts.ColdStart = v.jobs, v.cold
+		if got := Check(opts); !reflect.DeepEqual(got, want) {
+			t.Fatalf("jobs=%d cold=%v: report differs from jobs=1 warm:\n%+v\n%+v", v.jobs, v.cold, got, want)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"tlrsim/internal/fault"
 	"tlrsim/internal/memsys"
 	"tlrsim/internal/proc"
+	"tlrsim/internal/runner"
 )
 
 // Perturb is the scheduling perturbation applied to a machine run. Litmus
@@ -98,8 +99,7 @@ func machineConfig(cpus int, scheme proc.Scheme, seed int64, pt Perturb) proc.Co
 // config and keys the pool automatically. A Runner is single-goroutine
 // state; sweeps create one per worker.
 type Runner struct {
-	cold     bool
-	machines map[proc.ResetShape]*proc.Machine
+	machines *runner.MachineCache
 
 	// Scratch arenas reused across runs (threads/ops/locs slices).
 	threads []proc.LitmusThread
@@ -108,43 +108,25 @@ type Runner struct {
 }
 
 // NewRunner returns a pooling runner.
-func NewRunner() *Runner {
-	return &Runner{machines: make(map[proc.ResetShape]*proc.Machine)}
-}
+func NewRunner() *Runner { return &Runner{machines: runner.NewMachineCache(false)} }
 
 // NewColdRunner returns a runner that constructs a fresh machine per run
 // (the pre-reuse behaviour; the containment gate can be run this way to
 // cross-check the pool).
-func NewColdRunner() *Runner { return &Runner{cold: true} }
+func NewColdRunner() *Runner { return &Runner{machines: runner.NewMachineCache(true)} }
 
 // Run executes the program on the simulated machine under one
 // (scheme, seed, perturbation) and returns its outcome string.
 func (r *Runner) Run(p Program, scheme proc.Scheme, seed int64, pt Perturb) (string, error) {
-	cfg := machineConfig(len(p.Threads), scheme, seed, pt)
-	var m *proc.Machine
-	var key proc.ResetShape
-	if !r.cold {
-		key = cfg.ResetShape()
-		if pooled := r.machines[key]; pooled != nil && pooled.Reset(cfg) == nil {
-			m = pooled
-		}
-	}
-	if m == nil {
-		m = proc.NewMachine(cfg)
-	}
+	m := r.machines.Acquire(machineConfig(len(p.Threads), scheme, seed, pt))
 	out, err := r.runOn(m, p)
 	if err != nil {
 		// An errored run (deadlock, livelock, checker violation) leaves
 		// unfinished threads and pending events behind: the machine is not
-		// quiescent and must never be reused.
-		if !r.cold {
-			delete(r.machines, key)
-		}
+		// quiescent, so it is dropped rather than released for reuse.
 		return "", err
 	}
-	if !r.cold {
-		r.machines[key] = m
-	}
+	r.machines.Release(m)
 	return out, nil
 }
 

@@ -157,12 +157,6 @@ func (c Config) policy() core.Policy {
 		p.EnableTLR = true
 		p.StrictTimestamps = true
 	}
-	// The strict-ts policy is the StrictTimestamps ablation absorbed as a
-	// contention policy: keep the flag in sync so every reader of either
-	// knob (e.g. the §3.2 revocation check) sees a consistent view.
-	if p.CM == core.CMStrictTS {
-		p.StrictTimestamps = true
-	}
 	// Policies derive deterministic jitter from the machine seed (the
 	// StartJitter idiom); the seed is a run knob, not part of the policy a
 	// caller configures.

@@ -9,6 +9,9 @@
 // completion order — an experiment's rendered report is a pure function of
 // its job list, not of host scheduling.
 //
+// Loop is the one worker loop: Pool runs its units on it, and so does the
+// litmus containment sweep.
+//
 // Workers keep per-shape machine caches (proc.Machine.Reset is exact, so a
 // rewound machine is indistinguishable from a fresh one) and experiments
 // can group jobs into Units that share a simulated prefix via snapshot
@@ -56,7 +59,7 @@ type Progress func(done, total int, label string, run *stats.Run)
 // Pool is a bounded-concurrency job scheduler.
 type Pool struct {
 	// Workers caps concurrent units. <= 0 means runtime.GOMAXPROCS(0);
-	// 1 runs the work strictly sequentially in order.
+	// 1 runs the units one at a time, in order.
 	Workers int
 	// Progress, when non-nil, receives one callback per completed job.
 	Progress Progress
@@ -88,7 +91,10 @@ func (c *MachineCache) Acquire(cfg proc.Config) *proc.Machine {
 	}
 	key := cfg.ResetShape()
 	if m := c.machines[key]; m != nil {
-		delete(c.machines, key)
+		// Clear rather than delete the entry: a ResetShape is larger than
+		// the 128 bytes a map stores inline, so re-inserting a deleted key
+		// would allocate on every Release.
+		c.machines[key] = nil
 		if m.Reset(cfg) == nil {
 			return m
 		}
@@ -134,96 +140,85 @@ func (p *Pool) RunUnits(units []Unit) ([][]*stats.Run, error) {
 	for _, u := range units {
 		total += len(u.Jobs)
 	}
-	workers := p.Workers
+	results := make([][]*stats.Run, len(units))
+	var (
+		mu   sync.Mutex
+		done int
+	)
+	err := Loop(len(units), p.Workers,
+		func() *MachineCache { return NewMachineCache(p.Cold) },
+		func(mc *MachineCache, i int) error {
+			runs, err := p.executeUnit(mc, units[i])
+			if err != nil {
+				return err
+			}
+			results[i] = runs
+			if p.Progress != nil {
+				mu.Lock()
+				defer mu.Unlock()
+				for k, run := range runs {
+					done++
+					p.Progress(done, total, units[i].Jobs[k].Label, run)
+				}
+			}
+			return nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// Loop runs items 0..n-1 on up to workers goroutines (<= 0 means
+// runtime.GOMAXPROCS(0)) and waits for them. Each worker owns the state
+// newWorker returns for it, so fn needs no locking to use it, and claims the
+// next item in index order only once its previous one has returned. After an
+// item fails no further items start; the error of the lowest-indexed failure
+// is returned, so the outcome does not depend on host scheduling.
+func Loop[W any](n, workers int, newWorker func() W, fn func(w W, item int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(units) {
-		workers = len(units)
-	}
-	results := make([][]*stats.Run, len(units))
-	if workers <= 1 {
-		// Sequential path: identical to the pre-runner harness loops,
-		// including stopping at the first error in order.
-		mc := NewMachineCache(p.Cold)
-		done := 0
-		for i, u := range units {
-			runs, err := p.executeUnit(mc, u)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = runs
-			for k, run := range runs {
-				done++
-				p.report(done, total, u.Jobs[k].Label, run)
-			}
-		}
-		return results, nil
-	}
-
+	workers = min(workers, n)
 	var (
-		mu        sync.Mutex
-		wg        sync.WaitGroup
-		next      int
-		done      int
-		errs      = make([]error, len(units))
-		cancelled bool
+		mu     sync.Mutex
+		wg     sync.WaitGroup
+		next   int
+		failed = n // lowest failed index; n while none has failed
+		first  error
 	)
-	// claim hands out the next unit index, or false once the list is
-	// exhausted or a failure has cancelled the remaining units.
 	claim := func() (int, bool) {
 		mu.Lock()
 		defer mu.Unlock()
-		if cancelled || next >= len(units) {
+		if first != nil || next >= n {
 			return 0, false
 		}
-		i := next
 		next++
-		return i, true
+		return next - 1, true
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	wg.Add(workers)
+	for range workers {
 		go func() {
 			defer wg.Done()
-			mc := NewMachineCache(p.Cold)
+			w := newWorker()
 			for {
 				i, ok := claim()
 				if !ok {
 					return
 				}
-				runs, err := p.executeUnit(mc, units[i])
-				mu.Lock()
-				if err != nil {
-					errs[i] = err
-					cancelled = true // first error wins: stop handing out units
-				} else {
-					results[i] = runs
-					for k, run := range runs {
-						done++
-						if p.Progress != nil {
-							p.Progress(done, total, units[i].Jobs[k].Label, run)
-						}
+				if err := fn(w, i); err != nil {
+					mu.Lock()
+					if i < failed {
+						failed, first = i, err
 					}
+					mu.Unlock()
+					return
 				}
-				mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
-	// Several in-flight units may have failed; report the earliest-indexed
-	// error so the outcome is deterministic.
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
-}
-
-func (p *Pool) report(done, total int, label string, run *stats.Run) {
-	if p.Progress != nil {
-		p.Progress(done, total, label, run)
-	}
+	return first
 }
 
 // executeUnit runs one unit on the worker's cache.

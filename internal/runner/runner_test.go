@@ -1,8 +1,10 @@
 package runner
 
 import (
+	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"tlrsim/internal/bus"
@@ -84,31 +86,40 @@ type validationError struct{}
 func (*validationError) Error() string { return "forced failure" }
 
 // The earliest-indexed failure is reported and its label prefixes the
-// error, regardless of worker count.
+// error, regardless of worker count. At one worker the units run in order
+// and none starts after the failure, so no job after bad-1 is built.
 func TestFirstErrorWins(t *testing.T) {
-	mk := func() []Job {
+	mk := func(builds *atomic.Int32) []Job {
+		counted := func(j Job) Job {
+			build := j.Build
+			j.Build = func() workloads.Workload { builds.Add(1); return build() }
+			return j
+		}
+		bad := func(label string) Job {
+			return Job{
+				Label:  label,
+				Config: testConfig(2, 7),
+				Build:  func() workloads.Workload { return &badWorkload{workloads.SingleCounter{TotalOps: 32}} },
+			}
+		}
 		return []Job{
-			counterJob("ok-0", 2, 32),
-			{
-				Label:  "bad-1",
-				Config: testConfig(2, 7),
-				Build:  func() workloads.Workload { return &badWorkload{workloads.SingleCounter{TotalOps: 32}} },
-			},
-			{
-				Label:  "bad-2",
-				Config: testConfig(2, 7),
-				Build:  func() workloads.Workload { return &badWorkload{workloads.SingleCounter{TotalOps: 32}} },
-			},
-			counterJob("ok-3", 2, 32),
+			counted(counterJob("ok-0", 2, 32)),
+			counted(bad("bad-1")),
+			counted(bad("bad-2")),
+			counted(counterJob("ok-3", 2, 32)),
 		}
 	}
 	for _, workers := range []int{1, 2, 4} {
-		_, err := (&Pool{Workers: workers}).Run(mk())
+		var builds atomic.Int32
+		_, err := (&Pool{Workers: workers}).Run(mk(&builds))
 		if err == nil {
 			t.Fatalf("workers=%d: expected an error", workers)
 		}
 		if !strings.Contains(err.Error(), "bad-1") {
 			t.Errorf("workers=%d: error %q should name the earliest failed job bad-1", workers, err)
+		}
+		if workers == 1 && builds.Load() != 2 {
+			t.Errorf("workers=1: %d jobs built, want 2 (ok-0 and bad-1 only)", builds.Load())
 		}
 	}
 }
@@ -161,5 +172,30 @@ func TestEdgeCases(t *testing.T) {
 	res, err = (&Pool{Workers: 16}).Run([]Job{counterJob("solo", 2, 32)})
 	if err != nil || len(res) != 1 || res[0] == nil {
 		t.Fatalf("more workers than jobs: res=%v err=%v", res, err)
+	}
+}
+
+// Loop reports the lowest-indexed failure even when a higher-indexed item
+// fails first: item 2 can only be claimed once item 1 has been, so item 1 is
+// running when item 2 fails, and fails after it.
+func TestLoopLowestIndexedErrorWins(t *testing.T) {
+	failed2 := make(chan struct{})
+	var states atomic.Int32
+	err := Loop(3, 3, func() int { return int(states.Add(1)) }, func(_ int, i int) error {
+		switch i {
+		case 1:
+			<-failed2
+			return errors.New("item 1")
+		case 2:
+			close(failed2)
+			return errors.New("item 2")
+		}
+		return nil
+	})
+	if err == nil || err.Error() != "item 1" {
+		t.Fatalf("err = %v, want item 1", err)
+	}
+	if n := states.Load(); n > 3 {
+		t.Fatalf("%d worker states for 3 workers", n)
 	}
 }
